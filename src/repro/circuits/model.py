@@ -157,14 +157,14 @@ class Circuit:
         """Place a cell at ``x`` in ``row`` and return it."""
         if not 0 <= row < len(self.rows):
             raise IndexError(f"row {row} out of range")
-        cell = Cell(id=len(self.cells), row=row, x=x, width=width, is_feed=is_feed)
+        cell = Cell(len(self.cells), row, x, width, [], is_feed)
         self.cells.append(cell)
         self.rows[row].cells.append(cell.id)
         return cell
 
     def add_net(self, name: Optional[str] = None) -> Net:
         """Create an empty net (auto-named when ``name`` is None)."""
-        net = Net(id=len(self.nets), name=name or f"n{len(self.nets)}")
+        net = Net(len(self.nets), name or f"n{len(self.nets)}", [])
         self.nets.append(net)
         return net
 
@@ -193,15 +193,12 @@ class Circuit:
             if not 0 <= offset < c.width:
                 raise ValueError(f"pin offset {offset} outside cell width {c.width}")
             px, prow = c.x + offset, c.row
+        # positional: a keyword call costs the dataclass __init__ about
+        # twice as much, and sub-circuit extraction adds pins by the
+        # thousand
         pin = Pin(
-            id=len(self.pins),
-            net=net,
-            cell=cell if kind is not PinKind.FAKE else -1,
-            x=px,
-            row=prow,
-            side=side,
-            has_equiv=has_equiv,
-            kind=kind,
+            len(self.pins), net, cell if kind is not PinKind.FAKE else -1,
+            px, prow, side, has_equiv, kind,
         )
         self.pins.append(pin)
         if net >= 0:

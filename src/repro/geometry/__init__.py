@@ -8,7 +8,7 @@ plain-integer geometry with no routing semantics attached.
 
 from repro.geometry.point import Point, manhattan
 from repro.geometry.bbox import BBox
-from repro.geometry.interval import Interval, IntervalSet, max_overlap
+from repro.geometry.interval import Interval, IntervalSet, max_overlap, max_overlap_of
 from repro.geometry.segment import Segment
 
 __all__ = [
@@ -18,5 +18,6 @@ __all__ = [
     "Interval",
     "IntervalSet",
     "max_overlap",
+    "max_overlap_of",
     "Segment",
 ]

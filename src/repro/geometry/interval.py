@@ -61,18 +61,27 @@ def max_overlap(intervals: Iterable[Interval]) -> int:
     This is exactly the *channel density*, i.e. the minimum track count of
     a channel containing the given wire spans.
     """
+    return max_overlap_of((iv.lo, iv.hi) for iv in intervals)
+
+
+def max_overlap_of(bounds: Iterable[Tuple[int, int]]) -> int:
+    """:func:`max_overlap` of bare ``(lo, hi)`` pairs with ``lo <= hi``.
+
+    For callers that already hold normalized bounds (channel spans, span
+    tuples received from another rank) and need no interval objects.
+    """
     events: List[Tuple[int, int]] = []
-    for iv in intervals:
-        if iv.empty:
+    for lo, hi in bounds:
+        if lo == hi:
             continue
-        events.append((iv.lo, 1))
-        events.append((iv.hi, -1))
+        events.append((lo, 1))
+        events.append((hi, -1))
     if not events:
         return 0
     # Process closings before openings at the same coordinate: the
     # intervals are half-open, so a span ending where another begins does
     # not overlap it.
-    events.sort(key=lambda e: (e[0], e[1]))
+    events.sort()
     depth = best = 0
     for _, delta in events:
         depth += delta

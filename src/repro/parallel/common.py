@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.model import Circuit, Pin, PinKind
-from repro.geometry import Interval, max_overlap
+from repro.geometry import max_overlap_of
 from repro.grid.channels import ChannelSpan
 from repro.mpi.comm import Communicator, MAX, SUM
 from repro.parallel.partition import RowPartition
@@ -71,18 +71,12 @@ def make_feed_pin(net: int, x: int, row: int) -> Pin:
     Used when a terminal's position arrives by message rather than from
     the local circuit copy.
     """
-    return Pin(
-        id=-1, net=net, cell=-1, x=x, row=row, side=1, has_equiv=True,
-        kind=PinKind.FEED,
-    )
+    return Pin(-1, net, -1, x, row, 1, True, PinKind.FEED)
 
 
 def make_cell_pin(net: int, x: int, row: int, side: int, has_equiv: bool) -> Pin:
     """A synthesized regular terminal received from a remote rank."""
-    return Pin(
-        id=-1, net=net, cell=-1, x=x, row=row, side=side, has_equiv=has_equiv,
-        kind=PinKind.CELL,
-    )
+    return Pin(-1, net, -1, x, row, side, has_equiv, PinKind.CELL)
 
 
 def spans_intervals_in(spans: Iterable[ChannelSpan], channel: int) -> List[Tuple[int, int]]:
@@ -152,20 +146,25 @@ def finalize_block_result(
     rank, P = comm.rank, comm.size
     lo_ch = row_part.bounds[rank]
     hi_ch = row_part.bounds[rank + 1]
+    # one pass instead of a scan of every span per channel; each channel
+    # keeps its spans in list order, exactly as spans_intervals_in
+    by_channel: Dict[int, List[Tuple[int, int]]] = {}
+    for s in spans:
+        by_channel.setdefault(s.channel, []).append((s.lo, s.hi))
 
     from_below: List[Tuple[int, int]] = []
     if rank < P - 1:
-        comm.send(spans_intervals_in(spans, hi_ch), rank + 1, tag=TAG_BOUNDARY_FINAL)
+        comm.send(by_channel.get(hi_ch, []), rank + 1, tag=TAG_BOUNDARY_FINAL)
     if rank > 0:
         from_below = comm.recv(rank - 1, tag=TAG_BOUNDARY_FINAL)
 
     mine = owned_channels(row_part, rank)
     densities: Dict[int, int] = {}
     for ch in mine:
-        ivs = [Interval(lo, hi) for lo, hi in spans_intervals_in(spans, ch)]
+        ivs = by_channel.get(ch, [])
         if ch == lo_ch and rank > 0:
-            ivs.extend(Interval(lo, hi) for lo, hi in from_below)
-        densities[ch] = max_overlap(ivs)
+            ivs = ivs + from_below
+        densities[ch] = max_overlap_of(ivs)
         comm.counter.add("metrics", len(ivs) + 1)
 
     # A span shipped upward for density purposes is still uniquely held in

@@ -15,9 +15,10 @@ half-nets meet without any extra feedthrough.  Fake pins belong to no
 cell and never shift when feedthroughs widen rows.
 
 The crossing column follows the same convention as
-:func:`repro.steiner.tree.clip_tree_to_rows`: a diagonal segment runs
-vertically at its lower endpoint's column, so that is where it pierces
-every boundary below its bend.
+:func:`repro.steiner.tree.clip_tree_to_rows` — both come from one walk
+over the tree, :func:`repro.steiner.tree.cut_tree`: a diagonal segment
+runs vertically at its lower endpoint's column, so that is where it
+pierces every boundary below its bend.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.circuits.validate import validate_circuit
 from repro.geometry import Segment
 from repro.parallel.partition import RowPartition
 from repro.perfmodel.counter import WorkCounter, NULL_COUNTER
-from repro.steiner.tree import NetTree, clip_tree_to_rows, tree_segments
+from repro.steiner.tree import NetTree, cut_tree
 
 
 def crossing_columns(tree: NetTree, boundary: int, select: str = "median") -> List[int]:
@@ -48,11 +49,11 @@ def crossing_columns(tree: NetTree, boundary: int, select: str = "median") -> Li
     ``select="all"`` returns every distinct crossing column (sorted), for
     analysis and tests.
     """
-    cols: Set[int] = set()
-    for seg in tree_segments(tree):
-        if seg.crosses_row_boundary(boundary):
-            bottom = seg.a if seg.a.row <= seg.b.row else seg.b
-            cols.add(bottom.x)
+    # ``boundary`` is the lower boundary of the block starting at that row
+    return _pick_columns(cut_tree(tree, boundary, boundary)[0], select)
+
+
+def _pick_columns(cols: Set[int], select: str = "median") -> List[int]:
     ordered = sorted(cols)
     if not ordered or select == "all":
         return ordered
@@ -110,6 +111,10 @@ def extract_block(
     and every net's tree segments to find what falls in its block — so it
     is charged to the work counter (kind ``"setup"``); it is one of the
     Amdahl terms that keep the row-wise/hybrid speedups below linear.
+    The charge models that full scan even where the host skips work: a
+    tree's terminals are its net's pins, so a net whose tree rows all lie
+    outside the block has no local pins, no crossings and no clipped
+    pieces.
     """
     row_lo, row_hi = row_part.block_of(rank)
     block = LocalBlock(rank=rank, row_lo=row_lo, row_hi=row_hi)
@@ -132,23 +137,27 @@ def extract_block(
     for net in circuit.nets:
         tree = trees.get(net.id)
         counter.add("setup", 1 + len(net.pins))
+        pieces: List[Segment] = []
+        fake_positions: List[Tuple[int, int, int]] = []  # (x, row, side)
         if tree is not None:
             # two boundary scans + one clipping scan over the tree edges
             counter.add("setup", 3 * len(tree.edges))
+            rows = [p.row for p in tree.points]
+            if not rows or max(rows) < row_lo or min(rows) > row_hi:
+                continue
+            below, above, pieces = cut_tree(tree, row_lo, row_hi)
+            if lower_boundary is not None:
+                for x in _pick_columns(below):
+                    fake_positions.append((x, row_lo, -1))
+            if upper_boundary is not None:
+                for x in _pick_columns(above):
+                    fake_positions.append((x, row_hi, +1))
         local_pins: List[Tuple[int, int, int, bool]] = []  # (cell_l, offset, side, equiv)
         for pid in net.pins:
             p = circuit.pins[pid]
             if row_lo <= p.row <= row_hi:
                 cell_l = cell_g2l[p.cell]
                 local_pins.append((cell_l, p.x - circuit.cells[p.cell].x, p.side, p.has_equiv))
-        fake_positions: List[Tuple[int, int, int]] = []  # (x, row, side)
-        if tree is not None:
-            if lower_boundary is not None:
-                for x in crossing_columns(tree, lower_boundary):
-                    fake_positions.append((x, row_lo, -1))
-            if upper_boundary is not None:
-                for x in crossing_columns(tree, upper_boundary):
-                    fake_positions.append((x, row_hi, +1))
         if not local_pins and not fake_positions:
             continue
 
@@ -167,10 +176,11 @@ def extract_block(
             )
             block.num_fake_pins += 1
 
-        if tree is not None:
-            for seg in clip_tree_to_rows(tree, row_lo, row_hi):
-                locked = (not seg.is_flat) and seg.row_span[0] == row_lo - 1
-                block.pool.append((lnet.id, seg, locked))
+        for seg in pieces:
+            # a diagonal entering across the lower boundary is locked to
+            # its fake pin's column
+            locked = seg.a.row == row_lo - 1 and not seg.is_flat
+            block.pool.append((lnet.id, seg, locked))
 
     if validate:
         validate_circuit(local, allow_unbound_feeds=True)

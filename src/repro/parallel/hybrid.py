@@ -39,8 +39,6 @@ from repro.twgr.feedthrough import assign_feedthroughs, insert_feedthroughs
 from repro.twgr.result import RoutingResult
 from repro.twgr.switchable import optimize_switchable
 
-import numpy as np
-
 #: terminal tuple on the wire: (x, row, side, has_equiv, is_feed)
 Terminal = Tuple[int, int, int, bool, bool]
 
@@ -117,10 +115,9 @@ def hybrid_program(
                 else make_cell_pin(gnet_id, x, row, side, has_equiv)
                 for (x, row, side, has_equiv, is_feed) in terms
             ]
-            xs = np.array([p.x for p in pins], dtype=np.int64)
-            rows = np.array([p.row for p in pins], dtype=np.int64)
             edges = connection_mst(
-                xs, rows, config.row_pitch, config.skip_row_penalty, counter
+                [t[0] for t in terms], [t[1] for t in terms],
+                config.row_pitch, config.skip_row_penalty, counter,
             )
             for i, j in edges:
                 for span in spans_for_edge(pins[i], pins[j], stats, config.row_pitch):

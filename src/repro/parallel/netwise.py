@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.circuits.model import FEED_WIDTH, Circuit
-from repro.geometry import Interval, max_overlap
+from repro.geometry import max_overlap_of
 from repro.grid.channels import ChannelSpan, build_state
 from repro.grid.coarse import CoarseGrid
 from repro.mpi.comm import Communicator, MAX, SUM
@@ -171,10 +171,9 @@ def netwise_program(
                 pins.append(make_feed_pin(nid, x, row))
             if len(pins) < 2:
                 continue
-            xs = np.array([p.x for p in pins], dtype=np.int64)
-            rows = np.array([p.row for p in pins], dtype=np.int64)
             edges = connection_mst(
-                xs, rows, config.row_pitch, config.skip_row_penalty, counter
+                [p.x for p in pins], [p.row for p in pins],
+                config.row_pitch, config.skip_row_penalty, counter,
             )
             for i, j in edges:
                 spans.extend(spans_for_edge(pins[i], pins[j], stats, config.row_pitch))
@@ -251,12 +250,12 @@ def netwise_program(
     if rank != 0:
         return None
 
-    merged_ivs: Dict[int, List[Interval]] = {}
+    merged_ivs: Dict[int, List[Tuple[int, int]]] = {}
     for part in all_intervals:
         for ch, ivs in part.items():
-            merged_ivs.setdefault(ch, []).extend(Interval(lo, hi) for lo, hi in ivs)
+            merged_ivs.setdefault(ch, []).extend(ivs)
     channel_tracks = {
-        ch: max_overlap(ivs) for ch, ivs in sorted(merged_ivs.items())
+        ch: max_overlap_of(ivs) for ch, ivs in sorted(merged_ivs.items())
     }
     for ch in range(circuit.num_rows + 1):
         channel_tracks.setdefault(ch, 0)

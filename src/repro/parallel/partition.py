@@ -76,6 +76,10 @@ class RowPartition:
             raise IndexError(f"row {row} out of range")
         return bisect.bisect_right(self.bounds, row) - 1
 
+    def row_owners(self) -> List[int]:
+        """``owner_of_row`` for every row at once, indexable by row."""
+        return [k for k in range(self.nprocs) for _ in self.rows_of(k)]
+
     def owner_of_channel(self, channel: int) -> int:
         """Channel ``c`` (below row ``c``) belongs to row ``c``'s owner;
         the topmost channel belongs to the last rank."""
@@ -99,11 +103,11 @@ class RowPartition:
         nrows = circuit.num_rows
         if not 1 <= nprocs <= nrows:
             raise ValueError(f"nprocs {nprocs} must be in [1, {nrows}]")
-        pins_per_row = np.zeros(nrows, dtype=np.int64)
+        pins_per_row = [0] * nrows
         for pin in circuit.pins:
             if 0 <= pin.row < nrows:
                 pins_per_row[pin.row] += 1
-        total = int(pins_per_row.sum())
+        total = sum(pins_per_row)
         bounds = [0]
         acc = 0
         next_row = 0
@@ -111,7 +115,7 @@ class RowPartition:
             target = total * k / nprocs
             row = next_row
             while row < nrows - (nprocs - k) and acc + pins_per_row[row] / 2 < target:
-                acc += int(pins_per_row[row])
+                acc += pins_per_row[row]
                 row += 1
             row = max(row, bounds[-1] + 1)  # at least one row per block
             bounds.append(row)
@@ -129,30 +133,34 @@ def net_weights(
     """Per-net sort keys for the chosen scheme (lower sorts earlier)."""
     if scheme not in NET_SCHEMES:
         raise ValueError(f"unknown net scheme {scheme!r}; choose from {NET_SCHEMES}")
+    if scheme == "density":
+        if row_part is None:
+            raise ValueError("density scheme needs a row partition")
+        row_owner = row_part.row_owners()
+        nrows = len(row_owner)
+    pins = circuit.pins
     keys: List[Tuple] = []
     for net in circuit.nets:
-        pins = circuit.net_pins(net.id)
-        if not pins:
+        if not net.pins:
             keys.append((0.0, net.id))
             continue
+        if scheme == "pin_weight":
+            keys.append((-float(len(net.pins)) ** alpha, net.id))
+            continue
+        rows = [pins[pid].row for pid in net.pins]
         if scheme == "center":
-            center_row = sum(p.row for p in pins) / len(pins)
-            keys.append((center_row, net.id))
+            keys.append((sum(rows) / len(rows), net.id))
         elif scheme == "locus":
-            xll = min(p.x for p in pins)
-            rll = min(p.row for p in pins)
-            keys.append((xll, rll, net.id))
-        elif scheme == "density":
-            if row_part is None:
-                raise ValueError("density scheme needs a row partition")
-            counts = np.zeros(row_part.nprocs, dtype=np.int64)
-            for p in pins:
-                counts[row_part.owner_of_row(p.row)] += 1
-            owner = int(np.argmax(counts))  # lowest rank wins ties
-            center_row = sum(p.row for p in pins) / len(pins)
-            keys.append((owner, center_row, net.id))
-        else:  # pin_weight
-            keys.append((-float(len(pins)) ** alpha, net.id))
+            xll = min(pins[pid].x for pid in net.pins)
+            keys.append((xll, min(rows), net.id))
+        else:  # density
+            counts = [0] * row_part.nprocs
+            for row in rows:
+                if not 0 <= row < nrows:
+                    row_part.owner_of_row(row)  # raises IndexError
+                counts[row_owner[row]] += 1
+            owner = counts.index(max(counts))  # lowest rank wins ties
+            keys.append((owner, sum(rows) / len(rows), net.id))
     return keys
 
 
@@ -166,35 +174,36 @@ def partition_nets(
     """``net id -> owning rank`` under the chosen heuristic."""
     if nprocs <= 0:
         raise ValueError("nprocs must be positive")
-    owner = np.zeros(len(circuit.nets), dtype=np.int64)
+    owner = [0] * len(circuit.nets)
     if nprocs == 1 or not circuit.nets:
-        return owner
+        return np.array(owner, dtype=np.int64)
     keys = net_weights(circuit, scheme, row_part=row_part, alpha=alpha)
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    nets = circuit.nets
 
     if scheme == "pin_weight":
         # Largest nets first onto the least-loaded processor (LPT over the
         # modeled Steiner cost p^alpha) — the paper's round-robin spreading
         # of large nets, made load-aware.
-        load = np.zeros(nprocs, dtype=np.float64)
+        load = [0.0] * nprocs
         for net_id in order:
-            k = int(np.argmin(load))
+            k = load.index(min(load))  # lowest rank wins ties
             owner[net_id] = k
-            load[k] += float(circuit.nets[net_id].degree) ** alpha
-        return owner
+            load[k] += float(nets[net_id].degree) ** alpha
+        return np.array(owner, dtype=np.int64)
 
     # Generic quota sweep: fill processors in sorted-weight order until
     # each holds the average pin count.
-    total_pins = sum(n.degree for n in circuit.nets)
+    total_pins = sum(n.degree for n in nets)
     target = total_pins / nprocs
     proc = 0
     acc = 0
     for net_id in order:
         owner[net_id] = proc
-        acc += circuit.nets[net_id].degree
+        acc += nets[net_id].degree
         if acc >= target * (proc + 1) and proc < nprocs - 1:
             proc += 1
-    return owner
+    return np.array(owner, dtype=np.int64)
 
 
 def partition_summary(circuit: Circuit, owner: np.ndarray, nprocs: int) -> Dict[str, object]:

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.geometry import Point, Segment, manhattan
 from repro.perfmodel.counter import WorkCounter, NULL_COUNTER
 from repro.steiner.mst import prim_mst
@@ -293,10 +291,6 @@ def steinerize(tree: NetTree, row_pitch: int = 1, counter: WorkCounter = NULL_CO
     return saved_total
 
 
-def _median(a: int, b: int, c: int) -> int:
-    return sorted((a, b, c))[1]
-
-
 def tree_segments(tree: NetTree) -> List[Segment]:
     """The tree's edges as canonical segments, zero-length edges dropped."""
     out: List[Segment] = []
@@ -306,6 +300,56 @@ def tree_segments(tree: NetTree) -> List[Segment]:
             continue
         out.append(Segment.make(a, b))
     return out
+
+
+def cut_tree(
+    tree: NetTree, row_lo: int, row_hi: int
+) -> Tuple[Set[int], Set[int], List[Segment]]:
+    """One walk over ``tree``'s segments against the row block ``[row_lo, row_hi]``.
+
+    Returns ``(below, above, pieces)``: the columns at which the tree
+    crosses the block's lower boundary (between rows ``row_lo - 1`` and
+    ``row_lo``), the columns at which it crosses the upper boundary
+    (between ``row_hi`` and ``row_hi + 1``), and the tree clipped to the
+    block (see :func:`clip_tree_to_rows`).  A segment's vertical run is
+    at its lower endpoint's column, so that is where it crosses every
+    boundary below its bend; the fake pins of the parallel routers and the
+    clipped pieces therefore always agree.
+    """
+    below: Set[int] = set()
+    above: Set[int] = set()
+    pieces: List[Segment] = []
+    points = tree.points
+    for i, j in tree.edges:
+        a, b = points[i], points[j]
+        if a == b:
+            continue
+        # canonical order, as Segment.make: bottom sorts first by (row, x)
+        if a.row < b.row or (a.row == b.row and a.x <= b.x):
+            bottom, top = a, b
+        else:
+            bottom, top = b, a
+        lo, hi = bottom.row, top.row
+        if hi < row_lo or lo > row_hi:
+            continue
+        if lo >= row_lo and hi <= row_hi:
+            pieces.append(Segment(bottom, top))
+            continue
+        # The segment sticks out of the block: clip its vertical extent.
+        run_x = bottom.x
+        if lo < row_lo:
+            below.add(run_x)
+            p_low = Point(run_x, row_lo - 1)
+        else:
+            p_low = bottom
+        if hi > row_hi:
+            above.add(run_x)
+            p_high = Point(run_x, row_hi + 1)
+        else:
+            p_high = top
+        if p_low != p_high:
+            pieces.append(Segment.make(p_low, p_high))
+    return below, above, pieces
 
 
 def clip_tree_to_rows(
@@ -318,7 +362,7 @@ def clip_tree_to_rows(
     having been materialized as fake pins).  Diagonal segments are split at
     block boundaries along their vertical extent, pinning the crossing at
     the segment's *lower endpoint column* — the same convention
-    :func:`repro.parallel.fakepins.crossing_points` uses, so fake pins and
+    :func:`repro.parallel.fakepins.crossing_columns` uses, so fake pins and
     clipped segments always agree.
 
     Cut endpoints are *phantoms* placed one row beyond the block: a wire
@@ -329,21 +373,4 @@ def clip_tree_to_rows(
     same feedthroughs the serial router would.  The coarse grid clips the
     phantom rows back to its own window.
     """
-    out: List[Segment] = []
-    for seg in tree_segments(tree):
-        lo, hi = seg.row_span
-        if hi < row_lo or lo > row_hi:
-            continue
-        if lo >= row_lo and hi <= row_hi:
-            out.append(seg)
-            continue
-        # The segment sticks out of the block: clip its vertical extent.
-        # The vertical run is at the lower endpoint's column by convention.
-        bottom, top = (seg.a, seg.b) if seg.a.row <= seg.b.row else (seg.b, seg.a)
-        run_x = bottom.x
-        p_low = bottom if bottom.row >= row_lo else Point(run_x, row_lo - 1)
-        p_high = top if top.row <= row_hi else Point(run_x, row_hi + 1)
-        if p_low == p_high:
-            continue
-        out.append(Segment.make(p_low, p_high))
-    return out
+    return cut_tree(tree, row_lo, row_hi)[2]

@@ -309,3 +309,135 @@ def test_end_to_end_golden(name, scale, algo):
     got = (r.total_tracks, r.area, r.num_feedthroughs, r.wirelength,
            r.flips, r.num_spans)
     assert got == GOLDEN[(name, scale, algo)]
+
+
+def modeled_signature(algo: str, nprocs: int) -> tuple:
+    """The modeled side of a parallel run: per-rank clock components,
+    work units per kind, and the message count and bytes on the wire."""
+    from repro.mpi.trace import TraceRecorder
+
+    circuit = mcnc.generate("primary1", scale=0.15, seed=13)
+    trace = TraceRecorder()
+    run = route_parallel(
+        circuit, algorithm=algo, nprocs=nprocs, config=RouterConfig(seed=13),
+        compute_baseline=False, trace=trace,
+    )
+    t = run.timing
+    return (
+        tuple(t.rank_times), tuple(t.rank_compute), tuple(t.rank_comm),
+        tuple(t.rank_idle), tuple(sorted(run.result.work_units.items())),
+        trace.total_messages(), trace.total_bytes(),
+    )
+
+
+# The modeled side of the parallel GOLDEN runs (primary1 0.15, seed 13),
+# recorded from the straightforward per-net bookkeeping.  Modeled clocks
+# are float sums of work charges, so any change to what a rank charges,
+# or in which order, shows up here bit for bit.
+MODELED_GOLDEN = {
+    ('rowwise', 2): (
+        (0.434955774999997, 0.434915774999997,),
+        (0.31384000000000006, 0.42400000000000004,),
+        (0.009327400000000007, 0.006901175000000004,),
+        (0.1117883749999987, 0.004014599999999452,),
+        (
+            ('assign', 59.0),
+            ('coarse', 1086.0),
+            ('connect', 1462.0),
+            ('feeds', 183.0),
+            ('metrics', 332.0),
+            ('setup', 4540.0),
+            ('steiner', 2212.0),
+            ('switch', 8572.0),
+        ),
+        23, 58743,
+    ),
+    ('rowwise', 3): (
+        (0.29513082499999715, 0.2950508249999972, 0.2949718249999972,),
+        (0.22444000000000003, 0.23652, 0.28168,),
+        (0.013324000000000015, 0.006954425000000004, 0.006722825000000004,),
+        (0.05736682499999989, 0.05157639999999907, 0.0065689999999989715,),
+        (
+            ('assign', 59.0),
+            ('coarse', 1014.0),
+            ('connect', 1388.0),
+            ('feeds', 183.0),
+            ('metrics', 336.0),
+            ('setup', 6810.0),
+            ('steiner', 2212.0),
+            ('switch', 6564.0),
+        ),
+        46, 99250,
+    ),
+    ('netwise', 2): (
+        (0.49039153235293703, 0.49035153235293705,),
+        (0.4216799999999997, 0.41735294117647137,),
+        (0.04517419999999999, 0.032899449999999955,),
+        (0.023537332352940463, 0.04009914117646929,),
+        (
+            ('assign', 57.0),
+            ('coarse', 1162.0),
+            ('connect', 1642.0),
+            ('feeds', 183.0),
+            ('setup', 3085.0),
+            ('steiner', 2212.0),
+            ('switch', 12634.823529411777),
+        ),
+        106, 34146,
+    ),
+    ('netwise', 3): (
+        (0.40092681470587843, 0.40084681470587846, 0.4007666147058785,),
+        (0.2794776470588234, 0.29616000000000003, 0.3338776470588239,),
+        (0.06432240000000003, 0.033072449999999955, 0.03310344999999996,),
+        (0.05712676764705965, 0.07161436470588028, 0.03378551764705684,),
+        (
+            ('assign', 57.0),
+            ('coarse', 1162.0),
+            ('connect', 1642.0),
+            ('feeds', 183.0),
+            ('setup', 4606.0),
+            ('steiner', 2212.0),
+            ('switch', 12875.882352941182),
+        ),
+        216, 63132,
+    ),
+    ('hybrid', 2): (
+        (0.4303779749999976, 0.4303379749999976,),
+        (0.32036000000000003, 0.41864,),
+        (0.010107600000000007, 0.0076833750000000044,),
+        (0.0999103749999997, 0.004014599999999452,),
+        (
+            ('assign', 59.0),
+            ('coarse', 1086.0),
+            ('connect', 1642.0),
+            ('feeds', 183.0),
+            ('metrics', 329.0),
+            ('setup', 4540.0),
+            ('steiner', 2212.0),
+            ('switch', 8424.0),
+        ),
+        27, 62039,
+    ),
+    ('hybrid', 3): (
+        (0.3547526249999971, 0.35467262499999713, 0.35459362499999714,),
+        (0.22296, 0.3294000000000001, 0.27720000000000006,),
+        (0.014331600000000017, 0.007994425000000003, 0.007751825000000006,),
+        (0.11746102499999994, 0.017278199999998793, 0.06964179999999906,),
+        (
+            ('assign', 59.0),
+            ('coarse', 1014.0),
+            ('connect', 1642.0),
+            ('feeds', 183.0),
+            ('metrics', 331.0),
+            ('setup', 6810.0),
+            ('steiner', 2212.0),
+            ('switch', 8488.0),
+        ),
+        58, 104714,
+    ),
+}
+
+
+@pytest.mark.parametrize("algo,nprocs", sorted(MODELED_GOLDEN))
+def test_modeled_golden(algo, nprocs):
+    assert modeled_signature(algo, nprocs) == MODELED_GOLDEN[(algo, nprocs)]

@@ -92,6 +92,14 @@ class TestNetPartitions:
         with pytest.raises(ValueError, match="row partition"):
             partition_nets(circuit, 4, scheme="density", row_part=None)
 
+    @pytest.mark.parametrize("bad_row", [-1, 10_000])
+    def test_density_rejects_out_of_range_rows(self, bad_row):
+        circuit = mcnc.generate("primary1", scale=0.3, seed=2)
+        row_part = RowPartition.balanced(circuit, 4)
+        circuit.pins[circuit.nets[0].pins[0]].row = bad_row
+        with pytest.raises(IndexError, match="out of range"):
+            partition_nets(circuit, 4, scheme="density", row_part=row_part)
+
     def test_pin_weight_balances_steiner_work(self, circuit):
         """The pin-number-weight partition must balance p^alpha better
         than the locality-driven schemes (its whole reason to exist)."""
