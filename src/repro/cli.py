@@ -47,7 +47,9 @@ The routing commands (``route``, ``compare``, ``artifact``, ``profile``)
 execute through the sweep engine (:mod:`repro.exec`): ``--jobs`` fans
 independent runs out across worker processes, and ``--cache`` /
 ``--cache-dir`` replay previously computed runs from a
-content-addressed on-disk cache instead of recomputing them.
+content-addressed on-disk cache instead of recomputing them.  The
+cache's lifetime hit/miss/store tallies reach disk once, when the
+command exits.
 
 ``--quiet`` suppresses progress/context lines (tables and results still
 print); ``--verbose`` enables debug logging.
@@ -58,13 +60,17 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.analysis.records import save_results
 from repro.circuits import mcnc
 from repro.mpi.transports import TRANSPORT_NAMES
 from repro.perfmodel.machine import MACHINES, SPARCCENTER_1000
 from repro.twgr.config import RouterConfig
+
+if TYPE_CHECKING:
+    from repro.exec import RunCache
 
 log = logging.getLogger("repro")
 
@@ -138,15 +144,24 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cache_from(args: argparse.Namespace):
-    """The RunCache requested by ``--cache``/``--cache-dir``, or None."""
+@contextmanager
+def _open_cache(args: argparse.Namespace) -> Iterator[Optional["RunCache"]]:
+    """The RunCache requested by ``--cache``/``--cache-dir``, or None.
+
+    The command owns the cache: its session tallies are folded into the
+    lifetime sidecar once, when the command is done with it.
+    """
     from repro.exec import RunCache
 
     if getattr(args, "cache_dir", None):
-        return RunCache(args.cache_dir)
-    if getattr(args, "cache", False):
-        return RunCache()
-    return None
+        cache = RunCache(args.cache_dir)
+    elif getattr(args, "cache", False):
+        cache = RunCache()
+    else:
+        yield None
+        return
+    with cache:
+        yield cache
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +445,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     """Route one circuit and print (optionally save) the metrics."""
     from repro.exec import SweepPoint, execute_point
 
-    cache = _cache_from(args)
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
     log.info("circuit: %s", circuit)
     point = SweepPoint(
@@ -441,7 +455,8 @@ def cmd_route(args: argparse.Namespace) -> int:
             seed=args.seed, backend=args.backend, transport=args.transport
         ),
     )
-    record = execute_point(point, cache=cache)
+    with _open_cache(args) as cache:
+        record = execute_point(point, cache=cache)
     suffix = "  (cached)" if record.cached else ""
     if args.algorithm == "serial":
         print(record.routing_result().summary() + suffix)
@@ -463,7 +478,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.tables import Table
     from repro.exec import SweepPoint, run_sweep
 
-    cache = _cache_from(args)
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
     machine = MACHINES[args.machine]
     config = RouterConfig(
@@ -480,7 +494,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     points = [point("serial")] + [
         point(a, p) for a in algorithms for p in args.procs
     ]
-    records = run_sweep(points, jobs=args.jobs, cache=cache)
+    with _open_cache(args) as cache:
+        records = run_sweep(points, jobs=args.jobs, cache=cache)
     base = records[0].routing_result()
     runs = {
         (rec.algorithm, rec.nprocs): rec.parallel_run() for rec in records[1:]
@@ -516,13 +531,14 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     from repro.analysis import experiments as ex
 
     settings = ex.ExperimentSettings(scale=args.scale, seed=args.seed)
-    ex.set_cache(_cache_from(args))
-    ex.set_jobs(args.jobs)
-    try:
-        return _render_artifact(args, settings)
-    finally:
-        ex.set_cache(None)
-        ex.set_jobs(1)
+    with _open_cache(args) as cache:
+        ex.set_cache(cache)
+        ex.set_jobs(args.jobs)
+        try:
+            return _render_artifact(args, settings)
+        finally:
+            ex.set_cache(None)
+            ex.set_jobs(1)
 
 
 def _render_artifact(args: argparse.Namespace, settings) -> int:
@@ -643,7 +659,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         render_profile,
     )
 
-    cache = _cache_from(args)
     point = SweepPoint(
         circuit=args.circuit, algorithm=args.algorithm,
         nprocs=1 if args.algorithm == "serial" else args.nprocs,
@@ -652,7 +667,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
             seed=args.seed, backend=args.backend, transport=args.transport
         ),
     )
-    record = execute_point(point, cache=cache, compute_baseline=False)
+    with _open_cache(args) as cache:
+        record = execute_point(point, cache=cache, compute_baseline=False)
     profile = record.run_profile()
     if profile is None:
         print("record carries no profile (cached under an old schema?)")
@@ -982,10 +998,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 1
     if spec.description:
         log.info("%s — %s", spec.name, spec.description)
-    outcome = run_experiment(
-        spec, jobs=args.jobs, cache=_cache_from(args),
-        max_retries=args.max_retries,
-    )
+    with _open_cache(args) as cache:
+        outcome = run_experiment(
+            spec, jobs=args.jobs, cache=cache, max_retries=args.max_retries,
+        )
     print(outcome.table().render())
     print(outcome.summary())
     for failure in outcome.failures:

@@ -30,7 +30,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 #: Version salt folded into every cache key.  Bump when routing
 #: semantics, modeled costs, or the record schema change.
@@ -131,6 +131,9 @@ def cache_key(spec: Dict[str, Any], salt: str = CODE_SALT) -> str:
 class RunCache:
     """A directory of ``<key>.json`` run records with hit/miss counters.
 
+    Used as a context manager, the cache folds its session tallies into
+    the lifetime sidecar once, on exit (:meth:`persist_stats`).
+
     ``faults`` accepts a :class:`~repro.faults.plan.FaultPlan`; its
     ``on_cache`` hook runs inside :meth:`get` (an injected ``OSError``
     is indistinguishable from a corrupt file: a miss) and at the top of
@@ -156,6 +159,12 @@ class RunCache:
         # what persist_stats() has already folded into the sidecar, so
         # repeated persists never double-count this instance's tallies
         self._flushed = (0, 0, 0)
+
+    def __enter__(self) -> "RunCache":
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        self.persist_stats()
 
     def path_for(self, key: str) -> Path:
         """Where the record for ``key`` lives (whether or not it exists)."""
@@ -235,25 +244,34 @@ class RunCache:
             "stores": int(data.get("stores", 0)),
         }
 
-    def persist_stats(self) -> Dict[str, int]:
-        """Fold this instance's tallies into the on-disk sidecar.
-
-        The read-modify-write (load ``lifetime_stats``, add this
-        instance's unflushed delta, atomic replace) is serialized with a
-        lockfile (:class:`_StatsLock`): concurrent writers — service
-        workers, ``--jobs N`` sweeps, parallel CLI invocations — merge
-        their deltas instead of last-write-wins dropping each other's
-        tallies.  Safe to call repeatedly; only the delta since the last
-        persist is added.  If the lock cannot be acquired within its
-        bounded retry budget (pathological contention or an unwritable
-        root) the fold still happens — one delta racing beats wedging
-        the run for advisory counters.
-        """
-        delta = (
+    def _unflushed(self) -> Tuple[int, int, int]:
+        """This instance's hits/misses/stores not yet in the sidecar."""
+        return (
             self.hits - self._flushed[0],
             self.misses - self._flushed[1],
             self.stores - self._flushed[2],
         )
+
+    def persist_stats(self) -> Dict[str, int]:
+        """Fold this instance's tallies into the on-disk sidecar.
+
+        The cache's owner calls this once, when it is done with the
+        cache — a CLI command on exit (``with RunCache(...)``), the
+        service in :meth:`~repro.service.core.RoutingService.stop` —
+        so no request or sweep pays for the sidecar write.
+
+        The read-modify-write (load ``lifetime_stats``, add this
+        instance's unflushed delta, atomic replace) is serialized with a
+        lockfile (:class:`_StatsLock`): concurrent owners of one cache
+        root — parallel CLI invocations, services — merge their deltas
+        instead of last-write-wins dropping each other's tallies.  Safe
+        to call repeatedly; only the delta since the last persist is
+        added.  If the lock cannot be acquired within its bounded retry
+        budget (pathological contention or an unwritable root) the fold
+        still happens — one delta racing beats wedging the run for
+        advisory counters.
+        """
+        delta = self._unflushed()
         self.root.mkdir(parents=True, exist_ok=True)
         with _StatsLock(self.root / STATS_LOCK) as locked:
             if not locked:
@@ -284,11 +302,15 @@ class RunCache:
         """Counters and location, for CLI reporting.
 
         ``hits``/``misses``/``stores`` are this instance's session
-        tallies; ``lifetime`` is the persisted sidecar (which includes
-        any deltas already folded in by :meth:`persist_stats`).
+        tallies; ``lifetime`` is the persisted sidecar plus this
+        instance's delta not yet folded in by :meth:`persist_stats`, so
+        a live owner (a running service) reports its own activity too.
+        :meth:`lifetime_stats` stays disk-only.
         """
         looked_up = self.hits + self.misses
         life = self.lifetime_stats()
+        for name, delta in zip(("hits", "misses", "stores"), self._unflushed()):
+            life[name] += delta
         life_lookups = life["hits"] + life["misses"]
         return {
             "root": str(self.root),

@@ -18,6 +18,10 @@ executes a batch of points:
 ``jobs=1``, a one-core host, a single task, or any pool failure all
 degrade to plain in-process execution of the identical code path, so
 results never depend on how they were scheduled.
+
+The engine reads and writes records only.  Folding a cache's hit/miss
+tallies into its lifetime sidecar is the job of the cache's owner, once,
+when it is done with the cache (see :meth:`RunCache.persist_stats`).
 """
 
 from __future__ import annotations
@@ -75,6 +79,22 @@ def retry_backoff_s(
     return base * (0.5 + rnd)
 
 log = logging.getLogger("repro.exec")
+
+
+def _config_dict(config: Any) -> Dict[str, Any]:
+    """``dataclasses.asdict`` of a config dataclass, minus its deep copy.
+
+    Config fields hold scalars or nested config dataclasses
+    (``RouterConfig.weights``), so this shallow walk builds an equal dict
+    and hence byte-identical canonical JSON: no content address moves.
+    """
+    out: Dict[str, Any] = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        out[f.name] = (
+            _config_dict(value) if dataclasses.is_dataclass(value) else value
+        )
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,10 +167,10 @@ class SweepPoint:
             "algorithm": self.algorithm,
             "nprocs": 1 if self.algorithm == "serial" else self.nprocs,
             "machine": self.machine,
-            "config": dataclasses.asdict(self.config),
+            "config": _config_dict(self.config),
         }
         if self.algorithm != "serial":
-            spec["pconfig"] = dataclasses.asdict(self.pconfig)
+            spec["pconfig"] = _config_dict(self.pconfig)
         if self.fault_plan:
             # only faulted points carry the keys, so every pre-existing
             # cache entry keeps its content address
@@ -379,7 +399,6 @@ def execute_point(
     if cache is not None:
         payload = cache.get(key)
         if payload is not None:
-            cache.persist_stats()
             return RunRecord.from_dict(payload, cached=True)
     baseline: Optional[RoutingResult] = None
     if point.algorithm != "serial":
@@ -390,7 +409,6 @@ def execute_point(
     record = _observe_record(_execute(point, baseline))
     if cache is not None:
         cache.put(key, record.to_dict())
-        cache.persist_stats()
     return record
 
 
@@ -460,8 +478,6 @@ def run_sweep(
             if cache is not None:
                 cache.put(keys[i], out)
 
-    if cache is not None:
-        cache.persist_stats()
     return [r for r in records if r is not None]
 
 
@@ -728,8 +744,6 @@ def run_sweep_salvage(
             records[i] = _observe_record(RunRecord.from_dict(payload))
             _contained_put(keys[i], payload)
 
-    if cache is not None:
-        cache.persist_stats()
     survivors = [r for r in records if r is not None]
     if failures:
         REGISTRY.counter("engine.degraded_sweeps").inc()

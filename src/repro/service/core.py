@@ -41,6 +41,7 @@ connection.
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,6 +58,8 @@ from repro.service.schema import ServiceRequestError, point_from_request
 
 #: response shape: (http_status, body_dict)
 Response = Tuple[int, Dict[str, Any]]
+
+log = logging.getLogger("repro.service")
 
 
 @dataclass(slots=True)
@@ -96,6 +99,8 @@ class ServiceConfig:
 @dataclass(slots=True)
 class _Job:
     point: SweepPoint
+    #: ``point.key()``, computed once by ``submit``
+    key: str
     future: "asyncio.Future[Response]"
     enqueued_at: float = field(default_factory=time.perf_counter)
 
@@ -146,7 +151,10 @@ class RoutingService:
         ]
 
     async def stop(self) -> None:
-        """Cancel workers and release the executor (idempotent)."""
+        """Cancel workers, release the executor, and fold the cache's
+        lifetime tallies into its sidecar (idempotent)."""
+        from repro.obs.metrics import REGISTRY
+
         if not self._started:
             return
         self._started = False
@@ -168,7 +176,16 @@ class RoutingService:
                 )
         self._inflight.clear()
         if self.cache is not None:
-            self.cache.persist_stats()
+            # the service's only sidecar write: an unwritable cache root
+            # is counted and logged, never a traceback out of shutdown
+            try:
+                self.cache.persist_stats()
+            except OSError as exc:
+                REGISTRY.counter("cache.persist_errors").inc()
+                log.warning(
+                    "could not fold cache tallies into %s (%s)",
+                    self.cache.root, exc,
+                )
 
     # -- request path --------------------------------------------------
     async def submit(self, body: Any) -> Response:
@@ -196,7 +213,7 @@ class RoutingService:
             loop = asyncio.get_running_loop()
             fut = loop.create_future()
             self._inflight[key] = fut
-            self._queue.put_nowait(_Job(point=point, future=fut))
+            self._queue.put_nowait(_Job(point=point, key=key, future=fut))
             REGISTRY.gauge("service.queue_depth").set(self._queue.qsize())
         else:
             REGISTRY.counter("service.coalesced").inc()
@@ -261,7 +278,7 @@ class RoutingService:
                 outcome = await loop.run_in_executor(
                     self._executor, self._execute, job.point
                 )
-                response = self._response_from_outcome(job.point, outcome)
+                response = self._response_from_outcome(job.key, outcome)
             except Exception as exc:  # noqa: BLE001 - must answer, not hang
                 response = (
                     500,
@@ -272,21 +289,19 @@ class RoutingService:
                 )
             finally:
                 self._queue.task_done()
-            self._inflight.pop(job.point.key(), None)
+            self._inflight.pop(job.key, None)
             if not job.future.done():
                 job.future.set_result(response)
 
     @staticmethod
-    def _response_from_outcome(
-        point: SweepPoint, outcome: SweepOutcome
-    ) -> Response:
+    def _response_from_outcome(key: str, outcome: SweepOutcome) -> Response:
         if outcome.records:
             rec = outcome.records[0]
             return (
                 200,
                 {
                     "status": "ok",
-                    "key": point.key(),
+                    "key": key,
                     "cached": rec.cached,
                     "attempts": rec.attempts,
                     "retries": outcome.retries,
@@ -297,7 +312,7 @@ class RoutingService:
             503,
             {
                 "status": "degraded",
-                "key": point.key(),
+                "key": key,
                 "retries": outcome.retries,
                 "failures": [
                     {

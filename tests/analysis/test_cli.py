@@ -141,6 +141,39 @@ def test_cache_subcommand(capsys, tmp_path, monkeypatch):
     assert "removed 1" in out
 
 
+def test_route_folds_lifetime_tallies_on_exit(capsys, tmp_path):
+    argv = (
+        "route", "--circuit", "primary1", "--scale", "0.05",
+        "--algorithm", "serial", "--cache-dir", str(tmp_path / "c"),
+    )
+    run(capsys, *argv)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "(cached)" in out
+    code, out = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path / "c"))
+    assert code == 0
+    assert "lifetime  : 1 hits, 1 misses, 1 stores" in out
+
+
+def test_compare_folds_its_session_tallies_once(capsys, tmp_path):
+    from repro.exec import RunCache
+
+    root = tmp_path / "c"
+    argv = (
+        "compare", "--circuit", "primary1", "--scale", "0.05",
+        "--procs", "2", "--jobs", "1", "--cache-dir", str(root),
+    )
+    run(capsys, *argv)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    # cold: 4 point lookups + 1 baseline lookup miss, 4 stores;
+    # warm: 4 point hits
+    assert "cache: 4 hits, 0 misses" in out
+    assert RunCache(root).lifetime_stats() == {
+        "hits": 4, "misses": 5, "stores": 4,
+    }
+
+
 def test_profile_serial(capsys, tmp_path):
     path = tmp_path / "prof.json"
     code, out = run(

@@ -174,6 +174,29 @@ class TestPersistentStats:
         assert stats["lifetime_hit_rate"] == pytest.approx(2 / 3)
 
 
+    def test_stats_lifetime_includes_the_unflushed_session(self, tmp_path):
+        root = tmp_path / "c"
+        c1 = RunCache(root)
+        c1.put("k", {"v": 1})
+        c1.persist_stats()
+        c2 = RunCache(root)
+        c2.get("k")
+        c2.get("absent")
+        # the live view adds c2's delta; the disk view stays disk-only
+        assert c2.stats()["lifetime"] == {"hits": 1, "misses": 1, "stores": 1}
+        assert c2.stats()["lifetime_hit_rate"] == pytest.approx(1 / 2)
+        assert c2.lifetime_stats() == {"hits": 0, "misses": 0, "stores": 1}
+        c2.persist_stats()
+        assert c2.stats()["lifetime"] == c2.lifetime_stats()
+
+    def test_context_manager_folds_once_on_exit(self, tmp_path):
+        with RunCache(tmp_path / "c") as cache:
+            cache.put("k", {"v": 1})
+            cache.get("k")
+            assert not (cache.root / "_stats.meta").exists()
+        assert cache.lifetime_stats() == {"hits": 1, "misses": 0, "stores": 1}
+
+
 def _persist_worker(root: str, rounds: int, barrier) -> None:
     """One concurrent writer: `rounds` interleaved delta persists."""
     cache = RunCache(root)

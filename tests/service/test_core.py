@@ -232,3 +232,61 @@ class TestLifecycle:
             ServiceConfig(max_retries=-1).validate()
         with pytest.raises(ValueError):
             ServiceConfig(fault_plan="no-such-plan").validate()
+
+
+class TestLifetimeTallies:
+    """The sidecar is written once, by the service, when it stops."""
+
+    def test_requests_never_write_the_sidecar_stop_writes_it_once(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        persist = RunCache.persist_stats
+
+        def counting_persist(cache):
+            calls.append(cache)
+            return persist(cache)
+
+        monkeypatch.setattr(RunCache, "persist_stats", counting_persist)
+        cache = RunCache(tmp_path / "cache")
+        other = {"circuit": "primary1", "scale": 0.05, "seed": 2}
+
+        async def body(service):
+            for req in (REQUEST, REQUEST, other, REQUEST, other):
+                status, _ = await service.submit(dict(req))
+                assert status == 200
+            return len(calls), service.stats()["cache"]
+
+        during, live = run(
+            _with_service(ServiceConfig(workers=2), body, cache=cache)
+        )
+        assert during == 0
+        assert calls == [cache]
+        session = {"hits": cache.hits, "misses": cache.misses,
+                   "stores": cache.stores}
+        # a fresh serial point misses twice: once as itself, once as the
+        # engine's baseline lookup
+        assert session == {"hits": 3, "misses": 4, "stores": 2}
+        # /stats already counted the unflushed session while serving
+        assert live["lifetime"] == session
+        assert RunCache(tmp_path / "cache").lifetime_stats() == session
+
+    def test_unwritable_cache_root_does_not_break_stop(self, tmp_path):
+        import shutil
+
+        root = tmp_path / "cache"
+        cache = RunCache(root)
+
+        async def body(service):
+            status, _ = await service.submit(dict(REQUEST))
+            assert status == 200
+            # the root vanishes and a plain file takes its place, so the
+            # final fold cannot create the sidecar
+            shutil.rmtree(root)
+            root.write_text("not a directory", encoding="utf-8")
+
+        run(_with_service(ServiceConfig(workers=1), body, cache=cache))
+        counters = REGISTRY.snapshot()["counters"]
+        assert counters["cache.persist_errors"] == 1
+        assert root.read_text(encoding="utf-8") == "not a directory"
+
