@@ -2,17 +2,13 @@
 """Deterministic step-time regression gate.
 
 Routes a fixed smoke spec (``primary1`` at scale 0.1, serial and hybrid
-p=4) under *both* congestion backends (``python`` and ``numpy``),
-condenses each run into a :class:`~repro.obs.profile.RunProfile`, and
-diffs the *modeled* per-step seconds against the committed reference
+p=4), condenses each run into a :class:`~repro.obs.profile.RunProfile`,
+and diffs the *modeled* per-step seconds against the committed reference
 ``benchmarks/PROFILE_smoke.json``.  Modeled seconds are derived from the
 work counters via the machine model, so they are bit-deterministic for a
 fixed spec: a diff ratio other than exactly 1.0 means a code change
 altered how much work a step performs — the same property the cache's
-``CODE_SALT`` invalidation rule tracks.  Because the backends are
-bit-identical by contract (same routes, same work charges), one reference
-gates both: any backend whose modeled step times drift from it — or from
-the other backend's — fails the gate.  Exits nonzero when any step
+``CODE_SALT`` invalidation rule tracks.  Exits nonzero when any step
 regressed by more than the threshold (default +25%).
 
 It also loads the committed benchmark records ``BENCH_kernels.json`` and
@@ -73,12 +69,9 @@ SMOKE_RUNS = {
     "hybrid_p4": ("hybrid", 4),
 }
 
-#: every congestion backend the gate must hold for
-SMOKE_BACKENDS = ("python", "numpy")
 
-
-def smoke_profiles(backend: str) -> Dict[str, Dict]:
-    """Route the smoke specs under ``backend``; ``label -> profile dict``."""
+def smoke_profiles() -> Dict[str, Dict]:
+    """Route the smoke specs; ``label -> profile dict``."""
     from repro.exec import SweepPoint, execute_point
     from repro.twgr.config import RouterConfig
 
@@ -87,7 +80,7 @@ def smoke_profiles(backend: str) -> Dict[str, Dict]:
         point = SweepPoint(
             circuit=SMOKE_CIRCUIT, algorithm=algorithm, nprocs=nprocs,
             scale=SMOKE_SCALE, circuit_seed=SMOKE_SEED, machine=SMOKE_MACHINE,
-            config=RouterConfig(seed=SMOKE_SEED, backend=backend),
+            config=RouterConfig(seed=SMOKE_SEED),
         )
         record = execute_point(point, compute_baseline=False)
         assert record.profile is not None
@@ -222,13 +215,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.obs.profile import RunProfile, profile_diff
 
-    fresh = {b: smoke_profiles(b) for b in SMOKE_BACKENDS}
+    fresh = smoke_profiles()
 
     if args.update:
-        # the reference is written from the default (numpy) backend; the
-        # python backend gates against the same file because modeled
-        # seconds are backend-independent by the bit-identity contract
-        payload = {"format": SMOKE_FORMAT, "profiles": fresh["numpy"]}
+        payload = {"format": SMOKE_FORMAT, "profiles": fresh}
         Path(args.reference).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"reference rewritten: {args.reference}")
         return 0
@@ -240,42 +230,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             Path(args.trajectory), args.route_threshold, args.kernel_threshold
         )
 
-    # cross-backend bit-identity: every step's modeled seconds must agree
-    # exactly between the two backends before either is gated
-    for label in SMOKE_RUNS:
-        profs = {b: RunProfile.from_dict(fresh[b][label]) for b in SMOKE_BACKENDS}
-        a, b = SMOKE_BACKENDS
-        steps_a = {s: profs[a].step_seconds(s) for s in profs[a].ordered_steps()}
-        steps_b = {s: profs[b].step_seconds(s) for s in profs[b].ordered_steps()}
-        if steps_a != steps_b:
-            drift = sorted(
-                s for s in set(steps_a) | set(steps_b)
-                if steps_a.get(s) != steps_b.get(s)
-            )
-            problems.append(
-                f"{label}: backends {a}/{b} disagree on modeled step time(s): "
-                + ", ".join(drift)
-            )
-        else:
-            print(f"smoke run {label}: {a} and {b} backends bit-identical")
-
     reference = load_reference(Path(args.reference))
-    for backend in SMOKE_BACKENDS:
-        for label, old_dict in reference.items():
-            if label not in fresh[backend]:
-                problems.append(f"reference run {label!r} missing from smoke set")
-                continue
-            old = RunProfile.from_dict(old_dict)
-            new = RunProfile.from_dict(fresh[backend][label])
-            diff = profile_diff(old, new, threshold=args.threshold)
-            print(f"\nsmoke run {label} ({old.circuit}@{old.scale:g}) [{backend}]:")
-            print(diff.render())
-            if not diff.ok:
-                problems.append(
-                    f"{label} [{backend}]: steps regressed beyond "
-                    f"+{args.threshold:.0%}: "
-                    + ", ".join(d.step for d in diff.regressions)
-                )
+    for label, old_dict in reference.items():
+        if label not in fresh:
+            problems.append(f"reference run {label!r} missing from smoke set")
+            continue
+        old = RunProfile.from_dict(old_dict)
+        new = RunProfile.from_dict(fresh[label])
+        diff = profile_diff(old, new, threshold=args.threshold)
+        print(f"\nsmoke run {label} ({old.circuit}@{old.scale:g}):")
+        print(diff.render())
+        if not diff.ok:
+            problems.append(
+                f"{label}: steps regressed beyond +{args.threshold:.0%}: "
+                + ", ".join(d.step for d in diff.regressions)
+            )
 
     if problems:
         print("\nREGRESSION CHECK FAILED:")

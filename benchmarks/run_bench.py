@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.analysis.records import load_trajectory, validate_trajectory_record
 from repro.circuits import mcnc
-from repro.grid.backends import BACKEND_NAMES, resolve_backend_name
 from repro.grid.channels import build_state
 from repro.grid.coarse import CoarseGrid, Orientation
 from repro.steiner import prim_mst
@@ -81,10 +80,10 @@ def _time(fn: Callable[[], object], rounds: int, inner: int = 1) -> Dict[str, fl
 
 
 def bench_kernels(
-    scale: float, seed: int, rounds: int, backend: str = "auto"
+    scale: float, seed: int, rounds: int
 ) -> Dict[str, Dict[str, float]]:
     """Micro-benchmarks of the three congestion kernels plus Prim MST."""
-    cfg = RouterConfig(seed=seed, backend=backend)
+    cfg = RouterConfig(seed=seed)
     circuit = mcnc.generate("primary1", scale=scale, seed=seed)
     router = GlobalRouter(cfg)
     _result, art = router.route_with_artifacts(circuit)
@@ -94,7 +93,7 @@ def bench_kernels(
     # but not the per-segment pool.
     grid = CoarseGrid(
         ncols=grid.ncols, nrows=grid.nrows, col_width=grid.col_width,
-        weights=cfg.weights, backend=backend,
+        weights=cfg.weights,
     )
     committed_pool = coarse_route(
         collect_segments(art.trees), grid, cfg.rng(2, 0), passes=cfg.coarse_passes
@@ -118,10 +117,9 @@ def bench_kernels(
     out["eval_cost"] = _time(run_eval, rounds)
     out["eval_cost"]["calls_per_round"] = len(routes)
 
-    # -- batched_eval: the wave-level entry point — the same candidates as
-    # ``eval_cost``, but every (low, high) pair scored in ONE backend call
-    # (fused gathers on numpy; the sequential loop on python), near-ties
-    # deferred to the strict oracle either way.
+    # -- batched_eval: the list entry point — the same candidates as
+    # ``eval_cost``, but every (low, high) pair scored in one call, with
+    # near-ties deferred to the strict oracle.
     pairs = [(ps.route_low, ps.route_high) for ps in diagonals]
 
     out["batched_eval"] = _time(lambda: grid.eval_both_batch(pairs), rounds)
@@ -176,14 +174,12 @@ def bench_kernels(
     return out
 
 
-def bench_end_to_end(
-    scale: float, seed: int, rounds: int, backend: str = "auto"
-) -> Dict[str, Dict]:
+def bench_end_to_end(scale: float, seed: int, rounds: int) -> Dict[str, Dict]:
     """Full serial routes of the benchmark circuits at ``scale``."""
     out: Dict[str, Dict] = {}
     for name in BENCH_CIRCUITS:
         circuit = mcnc.generate(name, scale=scale, seed=seed)
-        router = GlobalRouter(RouterConfig(seed=seed, backend=backend))
+        router = GlobalRouter(RouterConfig(seed=seed))
         result, art = router.route_with_artifacts(circuit)
         timing = _time(lambda: router.route(circuit), rounds)
         # Incremental-engine observability: clean/dirty candidate counts
@@ -218,9 +214,7 @@ SWEEP_ALGORITHMS = ("rowwise", "netwise", "hybrid")
 SWEEP_PROCS = (1, 2, 4, 8)
 
 
-def bench_sweep(
-    scale: float, seed: int, jobs: int | None, backend: str = "auto"
-) -> Dict:
+def bench_sweep(scale: float, seed: int, jobs: int | None) -> Dict:
     """Time the execution engine on a full sweep, three ways.
 
     1. cold, ``jobs=1`` — the in-process reference execution;
@@ -232,7 +226,7 @@ def bench_sweep(
     """
     from repro.exec import SweepPoint, RunCache, resolve_jobs, run_sweep
 
-    cfg = RouterConfig(seed=seed, backend=backend)
+    cfg = RouterConfig(seed=seed)
     points = [
         SweepPoint(
             circuit=name, algorithm=algo, nprocs=p, scale=scale,
@@ -289,9 +283,7 @@ def bench_sweep(
     }
 
 
-def bench_transport(
-    scale: float, seed: int, nprocs: int, backend: str = "auto"
-) -> Dict:
+def bench_transport(scale: float, seed: int, nprocs: int) -> Dict:
     """Measured wall-clock speedups on the multiprocess SPMD transport.
 
     Routes ``primary1`` once per parallel algorithm with ``nprocs`` real
@@ -307,7 +299,7 @@ def bench_transport(
 
     circuit_name = "primary1"
     circuit = mcnc.generate(circuit_name, scale=scale, seed=seed)
-    cfg = RouterConfig(seed=seed, backend=backend)
+    cfg = RouterConfig(seed=seed)
     by_algo: Dict[str, Dict] = {}
     walls: List[float] = []
     for algo in SWEEP_ALGORITHMS:
@@ -476,10 +468,6 @@ def main(argv: List[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument(
-        "--backend", default="auto", choices=("auto",) + BACKEND_NAMES,
-        help="congestion-core backend (auto = REPRO_BACKEND env, else numpy)",
-    )
-    ap.add_argument(
         "--sweep-out",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_sweep.json"),
     )
@@ -522,11 +510,13 @@ def main(argv: List[str] | None = None) -> int:
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
 
-    backend = resolve_backend_name(args.backend)
+    # records keep their backend stamp so the committed per-backend
+    # trajectory chain continues
+    backend = RouterConfig().resolved_backend()
 
     def run_transport_bench() -> None:
         sp = bench_transport(
-            args.transport_scale, args.seed, args.transport_nprocs, backend
+            args.transport_scale, args.seed, args.transport_nprocs
         )
         print(
             f"transport bench (multiprocess, p={sp['nprocs']}, "
@@ -551,8 +541,8 @@ def main(argv: List[str] | None = None) -> int:
         return 0
 
     t0 = time.perf_counter()
-    kernels = bench_kernels(args.kernel_scale, args.seed, args.rounds, backend)
-    circuits = bench_end_to_end(args.scale, args.seed, args.rounds, backend)
+    kernels = bench_kernels(args.kernel_scale, args.seed, args.rounds)
+    circuits = bench_end_to_end(args.scale, args.seed, args.rounds)
 
     report = {
         "schema": 1,
@@ -575,7 +565,7 @@ def main(argv: List[str] | None = None) -> int:
     width = max(len(k) for k in list(kernels) + list(circuits))
     print(
         f"commit {report['commit'][:12]}  (rounds={args.rounds}, "
-        f"scale={args.scale}, backend={backend})"
+        f"scale={args.scale})"
     )
     for name, k in kernels.items():
         per = ""
@@ -595,7 +585,7 @@ def main(argv: List[str] | None = None) -> int:
         print(f"appended commit record to {args.trajectory}")
 
     if not args.no_sweep:
-        sweep = bench_sweep(args.sweep_scale, args.seed, args.jobs, backend)
+        sweep = bench_sweep(args.sweep_scale, args.seed, args.jobs)
         sweep_report = {
             "schema": 1,
             "commit": report["commit"],

@@ -1,7 +1,7 @@
 """Declarative experiment specs: a grid of runs as data, not code.
 
 An :class:`ExperimentSpec` names a full experiment as the cross product
-circuits x algorithms x backends x nprocs x fault plans over one fixed
+circuits x algorithms x nprocs x fault plans over one fixed
 operating point (scale/seed/machine).  Specs load from TOML or JSON
 (:func:`load_spec`), expand to deduplicated
 :class:`~repro.exec.engine.SweepPoint` cells (:meth:`ExperimentSpec.cells`),
@@ -15,12 +15,11 @@ Spec file shape (TOML shown; JSON uses the same keys)::
 
     schema = 1
     name = "smoke"
-    description = "tiny two-backend smoke grid"
+    description = "tiny smoke grid"
 
     [grid]
     circuits = ["primary1"]
     algorithms = ["serial", "rowwise"]
-    backends = ["python", "numpy"]
     nprocs = [1, 4]
     fault_plans = ["none"]
 
@@ -31,7 +30,7 @@ Spec file shape (TOML shown; JSON uses the same keys)::
     fault_seed = 1
 
 Expansion rules: ``serial`` ignores the nprocs axis (one baseline per
-circuit x backend) and never carries a fault plan; duplicate cells
+circuit) and never carries a fault plan; duplicate cells
 collapse; fault plans must be SPMD-level (the engine-level plans —
 ``flaky-cache``/``flaky-point`` — perturb the sweep machinery itself and
 belong to ``repro chaos``, not to a point's identity).
@@ -88,7 +87,6 @@ class ExperimentSpec:
     description: str = ""
     circuits: Tuple[str, ...] = ("primary1",)
     algorithms: Tuple[str, ...] = ("serial",)
-    backends: Tuple[str, ...] = ("auto",)
     nprocs: Tuple[int, ...] = (1,)
     fault_plans: Tuple[str, ...] = ("none",)
     scale: float = 0.1
@@ -99,12 +97,10 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Fail fast on axes the engine would reject mid-sweep."""
         from repro.faults import NAMED_PLANS
-        from repro.grid.backends import BACKEND_NAMES
 
         if not self.name:
             raise SpecError("spec: 'name' must be non-empty")
-        for axis in ("circuits", "algorithms", "backends", "nprocs",
-                     "fault_plans"):
+        for axis in ("circuits", "algorithms", "nprocs", "fault_plans"):
             if not getattr(self, axis):
                 raise SpecError(f"spec {self.name!r}: axis {axis!r} is empty")
         for c in self.circuits:
@@ -120,12 +116,6 @@ class ExperimentSpec:
                 raise SpecError(
                     f"spec {self.name!r}: unknown algorithm {a!r}; "
                     f"choose from {list(ALGORITHMS)}"
-                )
-        for b in self.backends:
-            if b != "auto" and b not in BACKEND_NAMES:
-                raise SpecError(
-                    f"spec {self.name!r}: unknown backend {b!r}; "
-                    f"choose from ['auto'] + {sorted(BACKEND_NAMES)}"
                 )
         machine = MACHINES.get(self.machine)
         if machine is None:
@@ -165,42 +155,38 @@ class ExperimentSpec:
         seen: set = set()
         for circuit in self.circuits:
             for algorithm in self.algorithms:
-                for backend in self.backends:
-                    for p in self.nprocs:
-                        for plan in self.fault_plans:
-                            nprocs = 1 if algorithm == "serial" else p
-                            fault = "" if plan == "none" else plan
-                            if algorithm == "serial" and fault:
-                                continue  # serial runs cannot carry SPMD faults
-                            ident = (circuit, algorithm, backend, nprocs, fault)
-                            if ident in seen:
-                                continue
-                            seen.add(ident)
-                            point = SweepPoint(
-                                circuit=circuit,
-                                algorithm=algorithm,
-                                nprocs=nprocs,
-                                scale=self.scale,
-                                circuit_seed=self.seed,
-                                machine=self.machine,
-                                config=RouterConfig(
-                                    seed=self.seed, backend=backend
-                                ),
-                                fault_plan=fault,
-                                fault_seed=self.fault_seed,
-                            )
-                            coord = {
-                                "experiment": self.name,
-                                "circuit": circuit,
-                                "algorithm": algorithm,
-                                "backend": backend,
-                                "nprocs": nprocs,
-                                "fault_plan": plan,
-                                "scale": self.scale,
-                                "seed": self.seed,
-                                "machine": self.machine,
-                            }
-                            cells.append(ExperimentCell(coord, point))
+                for p in self.nprocs:
+                    for plan in self.fault_plans:
+                        nprocs = 1 if algorithm == "serial" else p
+                        fault = "" if plan == "none" else plan
+                        if algorithm == "serial" and fault:
+                            continue  # serial runs cannot carry SPMD faults
+                        ident = (circuit, algorithm, nprocs, fault)
+                        if ident in seen:
+                            continue
+                        seen.add(ident)
+                        point = SweepPoint(
+                            circuit=circuit,
+                            algorithm=algorithm,
+                            nprocs=nprocs,
+                            scale=self.scale,
+                            circuit_seed=self.seed,
+                            machine=self.machine,
+                            config=RouterConfig(seed=self.seed),
+                            fault_plan=fault,
+                            fault_seed=self.fault_seed,
+                        )
+                        coord = {
+                            "experiment": self.name,
+                            "circuit": circuit,
+                            "algorithm": algorithm,
+                            "nprocs": nprocs,
+                            "fault_plan": plan,
+                            "scale": self.scale,
+                            "seed": self.seed,
+                            "machine": self.machine,
+                        }
+                        cells.append(ExperimentCell(coord, point))
         return cells
 
     def to_dict(self) -> Dict[str, Any]:
@@ -212,7 +198,6 @@ class ExperimentSpec:
             "grid": {
                 "circuits": list(self.circuits),
                 "algorithms": list(self.algorithms),
-                "backends": list(self.backends),
                 "nprocs": list(self.nprocs),
                 "fault_plans": list(self.fault_plans),
             },
@@ -241,7 +226,7 @@ def spec_from_dict(data: Any, where: str = "spec") -> ExperimentSpec:
     for label, section in (("grid", grid), ("fixed", fixed)):
         if not isinstance(section, dict):
             raise SpecError(f"{where}: {label!r} is not an object/table")
-    grid_known = {"circuits", "algorithms", "backends", "nprocs", "fault_plans"}
+    grid_known = {"circuits", "algorithms", "nprocs", "fault_plans"}
     unknown = sorted(set(grid) - grid_known)
     if unknown:
         raise SpecError(f"{where}: unknown grid axes {unknown}")
@@ -263,7 +248,6 @@ def spec_from_dict(data: Any, where: str = "spec") -> ExperimentSpec:
         description=str(data.get("description", "")),
         circuits=axis("circuits", ("primary1",)),
         algorithms=axis("algorithms", ("serial",)),
-        backends=axis("backends", ("auto",)),
         nprocs=axis("nprocs", (1,)),
         fault_plans=axis("fault_plans", ("none",)),
         scale=float(fixed.get("scale", 0.1)),
@@ -333,7 +317,7 @@ class ExperimentOutcome:
             title=f"experiment {self.spec.name!r} "
                   f"(scale {self.spec.scale:g}, seed {self.spec.seed}, "
                   f"{self.spec.machine})",
-            columns=["circuit", "algorithm", "backend", "p", "fault",
+            columns=["circuit", "algorithm", "p", "fault",
                      "tracks", "model_s", "speedup", "status"],
         )
         by_key = {r.key: r for r in self.records if r.key}
@@ -352,7 +336,7 @@ class ExperimentOutcome:
                 if rec.attempts > 1:
                     status += f" ({rec.attempts} attempts)"
                 table.add_row(
-                    coord["circuit"], coord["algorithm"], coord["backend"],
+                    coord["circuit"], coord["algorithm"],
                     coord["nprocs"], coord["fault_plan"],
                     rec.result.get("total_tracks"), model_time, speedup,
                     status,
@@ -363,7 +347,7 @@ class ExperimentOutcome:
                 if failure is not None:
                     status = f"contained: {failure.error_type}"
                 table.add_row(
-                    coord["circuit"], coord["algorithm"], coord["backend"],
+                    coord["circuit"], coord["algorithm"],
                     coord["nprocs"], coord["fault_plan"],
                     None, None, None, status,
                 )

@@ -25,7 +25,7 @@ Commands
     and lifetime hit rates).
 ``experiment``
     Run a declarative experiment spec (TOML/JSON grid of circuits x
-    algorithms x backends x nprocs x fault plans) through the
+    algorithms x nprocs x fault plans) through the
     fault-containing sweep engine; every record is stamped with its
     spec coordinates.
 ``trends``
@@ -115,11 +115,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES),
         help="performance model",
-    )
-    parser.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "numpy"),
-        help="congestion-core backend (auto = REPRO_BACKEND env, else numpy; "
-        "bit-identical results either way)",
     )
     parser.add_argument(
         "--transport", default="auto", choices=("auto",) + TRANSPORT_NAMES,
@@ -251,11 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES)
     )
     p_prof.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "numpy"),
-        help="congestion-core backend (recorded in the profile; --diff "
-        "warns when comparing across backends)",
-    )
-    p_prof.add_argument(
         "--transport", default="auto", choices=("auto",) + TRANSPORT_NAMES,
         help="SPMD transport (recorded in the profile when not the "
         "in-process default)",
@@ -268,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--threshold", type=float, default=0.25,
         help="regression threshold for --diff (fraction, default 0.25)",
-    )
-    p_prof.add_argument(
-        "--strict-backend", action="store_true",
-        help="make a cross-backend --diff a hard error (exit 1) instead "
-        "of a warning",
     )
     _add_engine(p_prof)
 
@@ -379,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--scale", type=float, default=0.1)
     p_met.add_argument("--seed", type=int, default=1)
     p_met.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "numpy"),
-    )
-    p_met.add_argument(
         "--prefix", default="repro",
         help="metric-name prefix (default 'repro')",
     )
@@ -452,7 +434,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         nprocs=1 if args.algorithm == "serial" else args.nprocs,
         scale=args.scale, circuit_seed=args.seed, machine=args.machine,
         config=RouterConfig(
-            seed=args.seed, backend=args.backend, transport=args.transport
+            seed=args.seed, transport=args.transport
         ),
     )
     with _open_cache(args) as cache:
@@ -481,7 +463,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
     machine = MACHINES[args.machine]
     config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
+        seed=args.seed, transport=args.transport
     )
     algorithms = ("rowwise", "netwise", "hybrid")
 
@@ -614,7 +596,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
     config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
+        seed=args.seed, transport=args.transport
     )
     machine = MACHINES[args.machine]
     recorder = TraceRecorder()
@@ -664,7 +646,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         nprocs=1 if args.algorithm == "serial" else args.nprocs,
         scale=args.scale, circuit_seed=args.seed, machine=args.machine,
         config=RouterConfig(
-            seed=args.seed, backend=args.backend, transport=args.transport
+            seed=args.seed, transport=args.transport
         ),
     )
     with _open_cache(args) as cache:
@@ -691,10 +673,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.diff:
         with open(args.diff, "r", encoding="utf-8") as fh:
             old = RunProfile.from_dict(_json.load(fh))
-        diff = profile_diff(
-            old, profile, threshold=args.threshold,
-            strict_backend=args.strict_backend,
-        )
+        diff = profile_diff(old, profile, threshold=args.threshold)
         print()
         print(diff.render())
         if not diff.ok:
@@ -720,7 +699,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(degree_histogram_text(circuit))
     print()
     _, art = GlobalRouter(
-        RouterConfig(seed=args.seed, backend=args.backend, transport=args.transport)
+        RouterConfig(seed=args.seed, transport=args.transport)
     ).route_with_artifacts(circuit)
     print(report(art.spans, circuit.num_rows + 1, top=args.top))
     return 0
@@ -754,7 +733,7 @@ def _chaos_spmd(args: argparse.Namespace, plan) -> int:
             circuit, algorithm=args.algorithm, nprocs=args.nprocs,
             machine=machine,
             config=RouterConfig(
-                seed=args.seed, backend=args.backend, transport=args.transport
+                seed=args.seed, transport=args.transport
             ),
             compute_baseline=False, faults=plan,
         )
@@ -779,7 +758,7 @@ def _chaos_sweep(args: argparse.Namespace, plan) -> int:
     from repro.faults.plan import CacheIOFault
 
     config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
+        seed=args.seed, transport=args.transport
     )
     points = [
         SweepPoint(
@@ -820,7 +799,7 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
 
     machine = MACHINES[args.machine]
     config = RouterConfig(
-        seed=args.seed, backend=args.backend, transport=args.transport
+        seed=args.seed, transport=args.transport
     )
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
 
@@ -1089,7 +1068,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
         point = SweepPoint(
             circuit=args.circuit, scale=args.scale, circuit_seed=args.seed,
-            config=RouterConfig(seed=args.seed, backend=args.backend),
+            config=RouterConfig(seed=args.seed),
         )
         execute_point(point, compute_baseline=False)
         log.info("routed %s to populate the registry", point.describe())

@@ -35,7 +35,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 #: Version salt folded into every cache key.  Bump when routing
 #: semantics, modeled costs, or the record schema change.
 #: v2: run records embed a per-step ``profile`` section.
-CODE_SALT = "repro-exec-v2"
+#: v3: ``RouterConfig.backend`` is gone from point specs and profiles.
+CODE_SALT = "repro-exec-v3"
 
 #: default cache directory (relative to the current working directory)
 DEFAULT_CACHE_DIR = ".repro_cache"

@@ -278,7 +278,6 @@ def _execute(point: SweepPoint, baseline: Optional[RoutingResult]) -> RunRecord:
         scale=point.scale,
         seed=point.circuit_seed,
         machine=machine,
-        backend=point.config.resolved_backend(),
         transport="" if transport == "inprocess" else transport,
         model_time=run_result.model_time,
     )

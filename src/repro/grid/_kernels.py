@@ -2,15 +2,12 @@
 
 These are the primitive cost/update kernels of the coarse grid — gap
 (uncovered-range) computation, range bumps, exact integer range gathers,
-and the per-cell strict accumulation walk.  They were born in
-``repro.grid.coarse`` and moved here when the congestion core grew
-multiple backends: the pure-Python backend *is* these kernels, and the
-NumPy backend must reproduce their integer gathers bit for bit (the
-strict walk stays the tie-breaking oracle for every backend).
+and the per-cell strict accumulation walk (the tie-breaking oracle of
+the fast cost form).
 
 ``repro.grid.coarse`` re-exports every name, so existing imports keep
 working.  This module must import nothing from the grid package — it is
-the bottom of the backend dependency stack.
+the bottom of the grid's dependency stack.
 """
 
 from __future__ import annotations

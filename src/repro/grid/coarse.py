@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,9 @@ from repro.geometry import Segment
 from repro.perfmodel.counter import WorkCounter, NULL_COUNTER
 
 # The primitive congestion kernels (gap computation, range bumps, exact
-# integer gathers, the strict per-cell oracle walk) moved to the backend
-# package when the congestion core grew a second, batched implementation;
-# they are re-exported here so historical imports keep working.
-from repro.grid.backends._kernels import (  # noqa: F401  (re-exports)
+# integer gathers, the strict per-cell oracle walk) live in their own
+# module; they are re-exported here so historical imports keep working.
+from repro.grid._kernels import (  # noqa: F401  (re-exports)
     _TIE_EPS,
     _bump_range,
     _defer_bump,
@@ -62,6 +61,12 @@ from repro.grid.backends._kernels import (  # noqa: F401  (re-exports)
 #: always safe; flips bump a handful of windows per pass, so the cap is
 #: rarely hit outside the initial commit (which saturates wholesale)
 _WLOG_CAP = 16
+
+# flip-record field indices read by the incremental engine (flip_wave)
+_WIDS = 22   # the (wid_vl, wid_vh, wid_hl, wid_hh) window-id tuple
+_OPS = 21    # the fused low+high work charge
+_V_LO, _V_HI = 3, 4    # clipped vertical range read in both vert windows
+_H_LO, _H_HI = 14, 15  # clipped horizontal range read in both channels
 
 
 class Orientation(enum.IntEnum):
@@ -117,14 +122,6 @@ class CoarseGrid:
     fast mode computes each part as ``count * w + w_c * range_sum`` from
     exact integer gathers and defers only real-arithmetic ties to the
     strict walk, so both modes commit identical routes.
-
-    ``backend`` selects the *batched* congestion core (see
-    :mod:`repro.grid.backends`): ``"python"`` loops the sequential fused
-    kernels, ``"numpy"`` scores whole candidate waves as array ops, and
-    ``None``/``"auto"`` resolves via the ``REPRO_BACKEND`` environment
-    variable.  Backends are bit-identical by contract — routes, buffers
-    and work charges never depend on the choice.  Strict grids always
-    run the ``python`` backend (the oracle takes no shortcuts).
     """
 
     def __init__(
@@ -135,7 +132,6 @@ class CoarseGrid:
         row_lo: int = 0,
         weights: CostWeights = CostWeights(),
         strict: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if ncols <= 0 or nrows <= 0 or col_width <= 0:
             raise ValueError("grid dimensions must be positive")
@@ -145,10 +141,6 @@ class CoarseGrid:
         self.row_lo = row_lo
         self.weights = weights
         self.strict = strict
-        from repro.grid.backends import make_backend, resolve_backend_name
-
-        self.backend_name = "python" if strict else resolve_backend_name(backend)
-        self._backend = make_backend(self.backend_name, self)
         # Aggregate congestion maps in flat integer buffers.  Feeds are
         # column-major (column g owns the contiguous block
         # ``[g*nrows, (g+1)*nrows)``) so a vertical run is one range;
@@ -213,6 +205,18 @@ class CoarseGrid:
         # begin_bulk_commit); None outside bulk-commit sections
         self._bulk_fd: Optional[List[int]] = None
         self._bulk_hd: Optional[List[int]] = None
+        # The incremental engine's per-candidate cache (see flip_wave):
+        # the window-version vector each flip candidate's last evaluation
+        # read, valid only for the pool identity held in _cache_idx.
+        self._seen: List[Optional[Tuple[int, int, int, int]]] = []
+        self._cache_idx: Optional[Sequence[int]] = None
+        #: running clean/dirty candidate tallies of the incremental
+        #: engine.  Deliberately *not* routed through the work counter:
+        #: a clean candidate replays its exact charge, so the split is a
+        #: caching detail, not part of the modeled work.
+        self.flip_stats: Dict[str, int] = {"clean": 0, "dirty": 0}
+        self._pass_stats: List[Dict[str, int]] = []
+        self._last_stats: Dict[str, int] = {"clean": 0, "dirty": 0}
 
     @property
     def feed_demand(self) -> np.ndarray:
@@ -1264,112 +1268,135 @@ class CoarseGrid:
                 self._hus_view = None
         return pick_high
 
-    def _commit_flip(self, rec: tuple, cur_is_high: bool) -> None:
-        """Apply a flip whose decision is already known.
-
-        The batched backend resolves orientations against a wave-start
-        snapshot and only then mutates state; this is the exact mutation
-        sequence of :meth:`flip_step_rec` when the orientation changes —
-        remove the current side's multiset entries, rip its ``+1`` out of
-        the buffers, commit the other side — so batched and sequential
-        passes leave bit-identical buffers and multisets.
-        """
-        (has_v, fb_l, fb_h, v_lo, v_hi, vt, ivs_vl, ivs_vh,
-         _efpb_l, _efpb_h,
-         ci_l, ci_h, hb_l, hb_h, h_lo, h_hi, ht, ivs_hl, ivs_hh,
-         _ehpb_l, _ehpb_h,
-         _ops_lh, wids) = rec
-        feed = self._feed
-        hus = self._hus
-        if has_v:
-            self._bump_w(wids[0], v_lo, v_hi)
-            self._bump_w(wids[1], v_lo, v_hi)
-        if ci_l >= 0:
-            self._bump_w(wids[2], h_lo, h_hi)
-        if ci_h >= 0:
-            self._bump_w(wids[3], h_lo, h_hi)
-        if cur_is_high:
-            if has_v:
-                ivs_vh.remove(vt)
-                _bump_range(feed, fb_h, v_lo, v_hi, ivs_vh, -1)
-                _bump_range(feed, fb_l, v_lo, v_hi, ivs_vl, 1)
-                ivs_vl.append(vt)
-                self._feed_view = None
-                self._row_index = None
-            if ci_h >= 0:
-                ivs_hh.remove(ht)
-                _bump_range(hus, hb_h, h_lo, h_hi, ivs_hh, -1)
-                self._hus_view = None
-            if ci_l >= 0:
-                _bump_range(hus, hb_l, h_lo, h_hi, ivs_hl, 1)
-                ivs_hl.append(ht)
-                self._hus_view = None
-        else:
-            if has_v:
-                ivs_vl.remove(vt)
-                _bump_range(feed, fb_l, v_lo, v_hi, ivs_vl, -1)
-                _bump_range(feed, fb_h, v_lo, v_hi, ivs_vh, 1)
-                ivs_vh.append(vt)
-                self._feed_view = None
-                self._row_index = None
-            if ci_l >= 0:
-                ivs_hl.remove(ht)
-                _bump_range(hus, hb_l, h_lo, h_hi, ivs_hl, -1)
-                self._hus_view = None
-            if ci_h >= 0:
-                _bump_range(hus, hb_h, h_lo, h_hi, ivs_hh, 1)
-                ivs_hh.append(ht)
-                self._hus_view = None
-
-    # -- batched (wave-level) entry points ----------------------------------
+    # -- wave-level entry points --------------------------------------------
 
     def eval_both_batch(
         self,
-        pairs: List[Tuple[RoutedSegment, RoutedSegment]],
+        pairs: Sequence[Tuple[RoutedSegment, RoutedSegment]],
         counter: WorkCounter = NULL_COUNTER,
     ) -> List[Tuple[float, float, bool]]:
-        """Batched :meth:`eval_both` over the active backend.
+        """:meth:`eval_both` over a list of candidate pairs.
 
-        One ``(cost_low, cost_high, pick_high)`` per candidate pair, on
-        the current committed state.  Costs are the exact fused gathers
-        and near-ties defer to the strict oracle, so the returned picks
-        are bit-identical to per-pair :meth:`eval_both` calls — whichever
-        backend evaluates them.
+        One ``(cost_low, cost_high, pick_high)`` per pair, on the current
+        committed state — exactly the per-pair :meth:`eval_both` results.
         """
-        return self._backend.eval_wave(pairs, counter)
+        eval_both = self.eval_both
+        return [eval_both(low, high, counter) for low, high in pairs]
 
-    def begin_flip_waves(self, committed, diagonal_idx) -> None:
-        """Let the backend precompute per-pool wave invariants (called
-        once per coarse pass sequence, after the initial commit)."""
-        self._backend.begin_flip_waves(committed, diagonal_idx)
+    def begin_flip_waves(self, diagonal_idx: Sequence[int]) -> None:
+        """Start a fresh incremental-engine cache for one pool.
+
+        ``diagonal_idx`` indexes the pool's orientation-free diagonals
+        (one cache slot each); :meth:`flip_wave` serves from the cache
+        only when handed this same list.  Called once per
+        ``coarse_route`` after the initial commit.
+        """
+        self._seen = [None] * len(diagonal_idx)
+        self._cache_idx = diagonal_idx
 
     def flip_wave(
         self,
         committed,
-        diagonal_idx,
+        diagonal_idx: Sequence[int],
         order: np.ndarray,
         counter: WorkCounter = NULL_COUNTER,
     ) -> int:
         """Run one scheduling wave of coarse flip candidates.
 
-        Delegates to the active backend; every backend processes the
-        candidates in ``order`` with rip-up/evaluate/re-commit semantics
-        identical to the sequential :meth:`flip_step_rec` loop, updating
-        each pooled segment's ``orient``/``route`` and returning the
-        number of orientation changes.
+        ``committed`` is the pool of
+        :class:`~repro.twgr.coarse_step.PooledSegment`, ``diagonal_idx``
+        indexes its orientation-free diagonals, and ``order`` holds
+        positions into ``diagonal_idx`` (one chunk of the pass
+        permutation).  Each candidate runs the fused
+        rip-up/evaluate/re-commit kernel (:meth:`flip_step_rec`, or
+        :meth:`flip_step` when it has no record) in wave order, updating
+        its ``orient``/``route``; returns how many orientations changed.
+
+        On top sits the incremental engine: every candidate remembers the
+        version vector of the four resource windows its evaluation read,
+        taken right after that evaluation.  While those versions are
+        unchanged, re-running the kernel would see byte-identical windows
+        and must re-pick the *current* orientation (re-evaluation after a
+        commit virtually rips up to exactly the state the previous
+        evaluation scored), so a clean candidate is a guaranteed "keep":
+        the gathers are skipped and the kernel's exact work charge is
+        replayed.  The cache is pure elision — routes and charges never
+        depend on it.
         """
-        return self._backend.flip_wave(committed, diagonal_idx, order, counter)
+        LOW = Orientation.VERT_AT_LOW
+        HIGH = Orientation.VERT_AT_HIGH
+        flip_rec = self.flip_step_rec
+        flip = self.flip_step
+        stats = self.flip_stats
+        # a wave driven outside begin_flip_waves (or for another pool)
+        # runs uncached — correctness never depends on the cache
+        cached = self._cache_idx is diagonal_idx
+        seen = self._seen
+        wver = self._wver
+        unchanged = self.window_unchanged
+        changed = 0
+        for k in order.tolist():
+            ps = committed[diagonal_idx[k]]
+            rec = ps.rec
+            if rec is None:
+                pick_high = flip(ps.route_low, ps.route_high, ps.route, counter)
+            elif not cached:
+                pick_high = flip_rec(rec, ps.orient is HIGH, counter)
+            else:
+                w0, w1, w2, w3 = rec[_WIDS]
+                cur = (wver[w0], wver[w1], wver[w2], wver[w3])
+                sk = seen[k]
+                if sk == cur:
+                    # clean ⟹ keep: the windows are byte-identical to the
+                    # candidate's last evaluation, which picked the current
+                    # orientation; replay the kernel's exact work charge
+                    counter.add("coarse", rec[_OPS])
+                    stats["clean"] += 1
+                    continue
+                if sk is not None:
+                    # range-aware second chance: every bump since the
+                    # cached versions may have missed this candidate's
+                    # clipped ranges, in which case the windows it reads
+                    # are still byte-identical over those ranges
+                    s0, s1, s2, s3 = sk
+                    c0, c1, c2, c3 = cur
+                    if (
+                        (s0 == c0 or unchanged(w0, s0, rec[_V_LO], rec[_V_HI]))
+                        and (s1 == c1 or unchanged(w1, s1, rec[_V_LO], rec[_V_HI]))
+                        and (s2 == c2 or unchanged(w2, s2, rec[_H_LO], rec[_H_HI]))
+                        and (s3 == c3 or unchanged(w3, s3, rec[_H_LO], rec[_H_HI]))
+                    ):
+                        seen[k] = cur
+                        counter.add("coarse", rec[_OPS])
+                        stats["clean"] += 1
+                        continue
+                pick_high = flip_rec(rec, ps.orient is HIGH, counter)
+                # post-evaluation versions: the state the winner was scored
+                # on (flip_step_rec bumps the windows itself when it flips)
+                seen[k] = (wver[w0], wver[w1], wver[w2], wver[w3])
+            stats["dirty"] += 1
+            if pick_high:
+                new_orient, new_route = HIGH, ps.route_high
+            else:
+                new_orient, new_route = LOW, ps.route_low
+            if new_orient is not ps.orient:
+                changed += 1
+            ps.orient, ps.route = new_orient, new_route
+        return changed
 
     def mark_flip_pass(self) -> None:
-        """Snapshot the backend's clean/dirty candidate tallies for the
-        coarse pass that just finished (see ``flip_pass_stats``)."""
-        self._backend.mark_pass()
+        """Close out one coarse pass: record the clean/dirty candidate
+        counts accumulated since the previous mark."""
+        s = self.flip_stats
+        last = self._last_stats
+        self._pass_stats.append({k: s[k] - last[k] for k in ("clean", "dirty")})
+        self._last_stats = dict(s)
 
     def flip_pass_stats(self) -> List[Dict[str, int]]:
         """Per-pass ``{"clean": n, "dirty": n}`` candidate splits recorded
         by :meth:`mark_flip_pass` — the observable behind the
         ``dirty_frac`` benchmark stat."""
-        return self._backend.pass_stats
+        return self._pass_stats
 
     # -- aggregate views ----------------------------------------------------
 

@@ -15,8 +15,7 @@ the :class:`~repro.mpi.comm.Communicator` API.  Two are registered:
   preserve ints, floats, and numpy arrays exactly — only the measured
   times differ.
 
-Selection precedence mirrors the congestion-backend registry
-(:mod:`repro.grid.backends`): explicit argument
+Selection precedence: explicit argument
 (``RouterConfig.transport`` / ``--transport``) > the
 :data:`TRANSPORT_ENV` environment variable > the default
 (:data:`DEFAULT_TRANSPORT`).  Every transport request resolves through

@@ -44,9 +44,6 @@ class RunProfile:
     scale: float = 1.0
     seed: int = 0
     machine: str = ""
-    #: congestion-core backend the run resolved to ("python"/"numpy";
-    #: empty on profiles recorded before the field existed)
-    backend: str = ""
     #: SPMD transport the run executed on; empty for serial runs,
     #: in-process runs, and profiles recorded before the field existed
     transport: str = ""
@@ -99,7 +96,6 @@ class RunProfile:
             "scale": self.scale,
             "seed": self.seed,
             "machine": self.machine,
-            "backend": self.backend,
             "steps": self.steps,
             "ops": self.ops,
             "comm": self.comm,
@@ -115,7 +111,12 @@ class RunProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunProfile":
-        """Rebuild a profile from its dict form."""
+        """Rebuild a profile from its dict form.
+
+        Keys this version no longer writes are ignored, so older
+        artifacts still load — e.g. the ``"backend"`` stamp of profiles
+        recorded while the congestion core had several implementations.
+        """
         if data.get("format") != PROFILE_FORMAT:
             raise ValueError("not a repro run profile")
         return cls(
@@ -125,7 +126,6 @@ class RunProfile:
             scale=data.get("scale", 1.0),
             seed=data.get("seed", 0),
             machine=data.get("machine", ""),
-            backend=data.get("backend", ""),
             transport=data.get("transport", ""),
             steps=dict(data.get("steps", {})),
             ops=dict(data.get("ops", {})),
@@ -146,7 +146,6 @@ def profile_from_tracer(
     seed: int = 0,
     machine: Optional[MachineModel] = None,
     machine_name: str = "",
-    backend: str = "",
     transport: str = "",
     model_time: Optional[float] = None,
     cache_stats: Optional[Dict[str, Any]] = None,
@@ -213,7 +212,6 @@ def profile_from_tracer(
         scale=scale,
         seed=seed,
         machine=machine.name if machine is not None else machine_name,
-        backend=backend,
         transport=transport,
         steps=steps,
         ops=total_ops,
@@ -234,8 +232,6 @@ def render_profile(profile: RunProfile) -> str:
         f"profile: {profile.circuit}@{profile.scale:g} {profile.algorithm} "
         f"p={profile.nprocs} [{profile.machine or 'no machine model'}]"
     )
-    if profile.backend:
-        header += f" backend={profile.backend}"
     if profile.transport:
         header += f" transport={profile.transport}"
     names = profile.ordered_steps()
@@ -321,32 +317,15 @@ class ProfileDiff:
     threshold: float
     #: steps slower than ``old * (1 + threshold)``
     regressions: List[StepDelta] = field(default_factory=list)
-    #: set when the two profiles resolved different congestion backends —
-    #: the diff is still valid (modeled seconds are backend-independent by
-    #: the bit-identity contract) but never silently cross-backend
-    backend_note: str = ""
-    #: when True a ``backend_note`` is a failure, not a warning
-    strict_backend: bool = False
-
-    @property
-    def backend_mismatch(self) -> bool:
-        """True when the two profiles resolved different backends."""
-        return bool(self.backend_note)
 
     @property
     def ok(self) -> bool:
-        """True when no step regressed beyond the threshold (and, under
-        ``strict_backend``, the two profiles share a backend)."""
-        if self.strict_backend and self.backend_mismatch:
-            return False
+        """True when no step regressed beyond the threshold."""
         return not self.regressions
 
     def render(self) -> str:
         """Human-readable comparison table."""
         lines = [f"profile diff (threshold {self.threshold:.0%})"]
-        if self.backend_note:
-            severity = "ERROR" if self.strict_backend else "WARNING"
-            lines.append(f"  {severity}: {self.backend_note}")
         width = max((len(d.step) for d in self.deltas), default=4)
         for d in self.deltas:
             flag = "  REGRESSED" if d in self.regressions else ""
@@ -355,19 +334,12 @@ class ProfileDiff:
                 f"  {d.step:<{width}}  {d.old_s:12.6f}s -> {d.new_s:12.6f}s"
                 f"  {ratio}{flag}"
             )
-        if self.regressions:
-            status = "REGRESSION"
-        elif self.strict_backend and self.backend_mismatch:
-            status = "BACKEND MISMATCH"
-        else:
-            status = "OK"
-        lines.append("status: " + status)
+        lines.append("status: " + ("REGRESSION" if self.regressions else "OK"))
         return "\n".join(lines)
 
 
 def profile_diff(
     old: RunProfile, new: RunProfile, threshold: float = 0.25,
-    strict_backend: bool = False,
 ) -> ProfileDiff:
     """Compare two profiles step by step.
 
@@ -375,13 +347,6 @@ def profile_diff(
     simulated > wall).  A step is flagged when its new time exceeds the
     old by more than ``threshold`` (fractional, e.g. 0.25 = +25%); steps
     absent from the old profile are flagged only if they take time.
-
-    When the two profiles ran under different congestion backends the
-    diff carries a ``backend_note`` (rendered as a warning): modeled
-    seconds are backend-independent by contract, so the comparison stays
-    meaningful, but it is never made silently.  Under
-    ``strict_backend=True`` the mismatch is a hard failure instead
-    (``ok`` turns False even with zero step regressions).
     """
     names = list(dict.fromkeys(old.ordered_steps() + new.ordered_steps()))
     deltas = [
@@ -393,13 +358,4 @@ def profile_diff(
         if (d.old_s == 0 and d.new_s > 0)  # step is new and takes time
         or (d.old_s > 0 and d.new_s > d.old_s * (1.0 + threshold))
     ]
-    backend_note = ""
-    if old.backend and new.backend and old.backend != new.backend:
-        backend_note = (
-            f"comparing across backends: {old.backend} (reference) vs "
-            f"{new.backend} (current)"
-        )
-    return ProfileDiff(
-        deltas=deltas, threshold=threshold, regressions=regressions,
-        backend_note=backend_note, strict_backend=strict_backend,
-    )
+    return ProfileDiff(deltas=deltas, threshold=threshold, regressions=regressions)

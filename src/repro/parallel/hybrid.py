@@ -71,7 +71,6 @@ def hybrid_program(
             row_lo=block.row_lo,
             weights=config.weights,
             strict=config.strict_kernels,
-            backend=config.backend,
         )
         coarse_route(
             block.pool, grid, config.rng(2, rank),

@@ -91,7 +91,6 @@ def netwise_program(
             col_width=config.col_width,
             weights=config.weights,
             strict=config.strict_kernels,
-            backend=config.backend,
         )
 
         def grid_sync() -> None:

@@ -69,7 +69,6 @@ def rowwise_program(
             row_lo=row_lo,
             weights=config.weights,
             strict=config.strict_kernels,
-            backend=config.backend,
         )
         coarse_route(
             block.pool, grid, config.rng(2, comm.rank),

@@ -11,7 +11,6 @@ the CLI's::
         "scale":     0.1,                 # circuit scale factor
         "seed":      1,                   # circuit + router seed
         "machine":   "SparcCenter-1000",  # performance model
-        "backend":   "auto",              # congestion-core backend
         "transport": "auto",              # SPMD transport
         "fault_plan": "",                 # named SPMD fault plan ("" = none)
         "fault_seed": 0                   # seed of that plan
@@ -36,7 +35,7 @@ from repro.twgr.config import RouterConfig
 REQUEST_KEYS = frozenset(
     {
         "circuit", "algorithm", "nprocs", "scale", "seed", "machine",
-        "backend", "transport", "fault_plan", "fault_seed",
+        "transport", "fault_plan", "fault_seed",
     }
 )
 
@@ -104,7 +103,6 @@ def point_from_request(data: Any) -> SweepPoint:
         machine=_req_str(data, "machine", "SparcCenter-1000"),
         config=RouterConfig(
             seed=seed,
-            backend=_req_str(data, "backend", "auto"),
             transport=_req_str(data, "transport", "auto"),
         ),
         fault_plan=_req_str(data, "fault_plan", ""),
@@ -129,8 +127,6 @@ def request_from_point(point: SweepPoint) -> Dict[str, Any]:
     }
     if point.algorithm != "serial":
         body["nprocs"] = point.nprocs
-    if point.config.backend != "auto":
-        body["backend"] = point.config.backend
     if point.config.transport != "auto":
         body["transport"] = point.config.transport
     if point.fault_plan:

@@ -129,13 +129,9 @@ def coarse_route(
 
     # The improvement passes submit each scheduling wave — one chunk of
     # the pass permutation, i.e. everything between two sync points — to
-    # the grid's congestion backend in a single call.  The pure-Python
-    # backend runs the historical per-candidate loop; the NumPy backend
-    # scores the whole wave in fused array gathers.  Both process the
-    # candidates in wave order with identical rip-up/evaluate/re-commit
-    # semantics, so the routes (and the work charged) never depend on the
-    # backend.
-    grid.begin_flip_waves(committed, diagonal_idx)
+    # the grid in a single call, which runs the per-candidate
+    # rip-up/evaluate/re-commit loop in wave order.
+    grid.begin_flip_waves(diagonal_idx)
     flip_wave = grid.flip_wave
     for _ in range(passes):
         changed = 0

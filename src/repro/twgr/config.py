@@ -44,13 +44,6 @@ class RouterConfig:
     #: range-sum fast path (same routes either way; keep ``False`` outside
     #: of equivalence testing)
     strict_kernels: bool = False
-    #: congestion-core backend: ``"python"`` (sequential reference
-    #: kernels), ``"numpy"`` (batched wave-level evaluation), or
-    #: ``"auto"`` (the ``REPRO_BACKEND`` environment variable, else
-    #: numpy).  Backends are bit-identical by contract, so this knob
-    #: never changes a routing result — only its speed.  Ignored when
-    #: ``strict_kernels`` is set (the oracle always runs pure Python).
-    backend: str = "auto"
     #: SPMD transport: ``"inprocess"`` (deterministic threads — the test
     #: oracle), ``"multiprocess"`` (one OS process per rank, measured
     #: wall-clock times on real cores), or ``"auto"`` (the
@@ -83,14 +76,9 @@ class RouterConfig:
             raise ValueError("switch_passes must be >= 0")
         if self.cell_height <= 0 or self.track_pitch <= 0:
             raise ValueError("area model pitches must be positive")
-        # One authority for backend-name validation: the registry.  This
+        # One authority for transport-name validation: the registry.  This
         # fails fast at config-validation time with the registered-name
-        # list — including a bad REPRO_BACKEND environment value when the
-        # backend is "auto"/"" — instead of surfacing mid-route.
-        from repro.grid.backends import resolve_backend_name
-
-        resolve_backend_name(self.backend)
-        # Same single-authority rule for the SPMD transport registry.
+        # list instead of surfacing mid-route.
         from repro.mpi.transports import resolve_transport_name
 
         resolve_transport_name(self.transport)
@@ -102,9 +90,7 @@ class RouterConfig:
         return resolve_transport_name(self.transport)
 
     def resolved_backend(self) -> str:
-        """The congestion backend a run under this config will use."""
-        if self.strict_kernels:
-            return "python"
-        from repro.grid.backends import resolve_backend_name
-
-        return resolve_backend_name(self.backend)
+        """The congestion core a run under this config uses — always
+        ``"python"``, the only one.  Kept as the stamp of benchmark and
+        trajectory records, whose per-backend chains it continues."""
+        return "python"

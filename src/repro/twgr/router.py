@@ -99,7 +99,6 @@ class GlobalRouter:
                 grid = CoarseGrid(
                     ncols=ncols, nrows=work.num_rows, col_width=cfg.col_width,
                     weights=cfg.weights, strict=cfg.strict_kernels,
-                    backend=cfg.backend,
                 )
                 pool = collect_segments(art.trees)
                 art.pool_size = len(pool)

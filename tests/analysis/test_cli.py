@@ -261,22 +261,22 @@ def test_verbose_flag_accepted(capsys):
     assert "tracks=" in out
 
 
-def test_profile_diff_cross_backend_warn_vs_strict(capsys, tmp_path):
+def test_profile_diff_accepts_legacy_backend_stamp(capsys, tmp_path):
+    """A reference profile saved while runs were stamped with their
+    congestion backend still diffs cleanly against a fresh run."""
+    import json
+
     path = tmp_path / "ref.json"
     base = ("profile", "primary1", "--scale", "0.05", "--algorithm", "serial")
-    code, _ = run(capsys, *base, "--backend", "python", "--json", str(path))
+    code, _ = run(capsys, *base, "--json", str(path))
     assert code == 0
-    # default: cross-backend diff warns but passes (bit-identity contract)
-    code, out = run(capsys, *base, "--backend", "numpy", "--diff", str(path))
+    saved = json.loads(path.read_text())
+    assert "backend" not in saved
+    saved["backend"] = "numpy"
+    path.write_text(json.dumps(saved))
+    code, out = run(capsys, *base, "--diff", str(path))
     assert code == 0
-    assert "WARNING" in out and "status: OK" in out
-    # --strict-backend: the same mismatch is a hard error
-    code, out = run(
-        capsys, *base, "--backend", "numpy", "--diff", str(path),
-        "--strict-backend",
-    )
-    assert code == 1
-    assert "ERROR" in out and "BACKEND MISMATCH" in out
+    assert "status: OK" in out
 
 
 def test_profile_prints_histogram_percentiles(capsys):
@@ -384,7 +384,7 @@ def test_experiment_command_runs_spec(capsys, tmp_path):
     spec = tmp_path / "mini.toml"
     spec.write_text(
         'schema = 1\nname = "mini"\n\n[grid]\ncircuits = ["primary1"]\n'
-        'algorithms = ["serial", "rowwise"]\nbackends = ["python"]\n'
+        'algorithms = ["serial", "rowwise"]\n'
         'nprocs = [2]\n\n[fixed]\nscale = 0.06\nseed = 1\n'
     )
     out_path = tmp_path / "outcome.json"

@@ -22,7 +22,6 @@ description = "test grid"
 [grid]
 circuits = ["primary1"]
 algorithms = ["serial", "rowwise"]
-backends = ["python"]
 nprocs = [1, 2]
 
 [fixed]
@@ -77,6 +76,17 @@ def test_spec_from_dict_rejects_unknown_keys():
         spec_from_dict({"name": "x", "fixed": {"sclae": 0.1}})
 
 
+def test_spec_with_backends_axis_is_rejected(tmp_path):
+    """The congestion core has one implementation; a spec written when
+    ``backends`` was a grid axis fails loudly instead of being half-read."""
+    with pytest.raises(SpecError, match=r"unknown grid axes \['backends'\]"):
+        spec_from_dict({"name": "x", "grid": {"backends": ["python", "numpy"]}})
+    path = tmp_path / "old.toml"
+    path.write_text(TOML_SPEC.replace("nprocs", 'backends = ["numpy"]\nnprocs'))
+    with pytest.raises(SpecError, match="unknown grid axes"):
+        load_spec(path)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -86,8 +96,6 @@ def test_validate_rejects_unknown_axis_values():
         ExperimentSpec(name="x", circuits=("nope",)).validate()
     with pytest.raises(SpecError, match="unknown algorithm"):
         ExperimentSpec(name="x", algorithms=("diagonal",)).validate()
-    with pytest.raises(SpecError, match="unknown backend"):
-        ExperimentSpec(name="x", backends=("fortran",)).validate()
     with pytest.raises(SpecError, match="unknown machine"):
         ExperimentSpec(name="x", machine="Cray-1").validate()
     with pytest.raises(SpecError, match="unknown fault plan"):
@@ -113,7 +121,7 @@ def test_validate_rejects_nprocs_beyond_machine():
 def test_cells_collapse_serial_and_dedupe():
     spec = ExperimentSpec(
         name="g", algorithms=("serial", "rowwise"), nprocs=(1, 2, 4),
-        backends=("python",), scale=0.06,
+        scale=0.06,
     )
     cells = spec.cells()
     serial = [c for c in cells if c.coord["algorithm"] == "serial"]
@@ -141,7 +149,7 @@ def test_cell_coords_carry_full_address():
     coord = spec.cells()[0].coord
     assert coord == {
         "experiment": "g", "circuit": "primary1", "algorithm": "serial",
-        "backend": "auto", "nprocs": 1, "fault_plan": "none",
+        "nprocs": 1, "fault_plan": "none",
         "scale": 0.06, "seed": 1, "machine": "SparcCenter-1000",
     }
 
@@ -167,7 +175,7 @@ def test_fault_free_points_keep_legacy_cache_spec():
 def test_run_experiment_stamps_spec_coords():
     spec = ExperimentSpec(
         name="stamp", algorithms=("serial", "rowwise"), nprocs=(2,),
-        backends=("python",), scale=0.06,
+        scale=0.06,
     )
     outcome = run_experiment(spec, jobs=1)
     assert outcome.ok and outcome.exit_code == 0
@@ -188,7 +196,7 @@ def test_run_experiment_stamps_spec_coords():
 def test_run_experiment_contains_crash_cells():
     spec = ExperimentSpec(
         name="chaos", algorithms=("hybrid",), nprocs=(2,),
-        backends=("python",), fault_plans=("none", "crash-step3"),
+        fault_plans=("none", "crash-step3"),
         scale=0.06,
     )
     outcome = run_experiment(spec, jobs=1)

@@ -44,23 +44,23 @@ POINTS = {
             weights=CostWeights(
                 feed=3.0, feed_congestion=0.25, channel_congestion=0.5
             ),
-            skip_row_penalty=5000, backend="python", transport="multiprocess",
+            skip_row_penalty=5000, transport="multiprocess",
         ),
     ),
 }
 
-#: recorded under CODE_SALT "repro-exec-v2"
+#: recorded under CODE_SALT "repro-exec-v3"
 PINNED_KEYS = {
-    "default": "8dadaa5818a8a6b54ba8d7082ac4e698b8b8e572ff63ff16e046bbf3e13ff6b2",
-    "serial": "a16af8852092c78f8e4019acdd04db1823a524e982fc4bdffb6a4f51191fbc4d",
-    "parallel": "02641cbfc7a175088dd80bada1b7c64d6abd832250b9c9bed91f0b491e620cad",
-    "faulted": "7051ebc5dfcd227f2b666ca0447ffdd353dd67fce91283162f905bb574cbdbc5",
-    "configured": "a0a149ccb8e3a481975c2499c5a73c70ccdd8aacc23a070abe82f88fbb3704c0",
+    "default": "e46ab9c6f25c9f4cd51f537bc56f9006e6de7f254568d5b79c39a59fa1389d9e",
+    "serial": "a316a5eb73bfbc7e35917a86f16d717e814d9cc98b002d11109736b85d5ff629",
+    "parallel": "56623b85590e94ed8aa6d81ffa5482fdf45c01475217bec18102acf1f20a5248",
+    "faulted": "251a705e54a6d76d94fa79ccb871bb8fd6156697697b265a33efc664f1882b46",
+    "configured": "0cb43fb36c1b2a3e4e6734ad1959c61be71edfba4e19782c76a1c0249f5cc9e7",
 }
 
 
 def test_table_was_recorded_under_the_current_salt():
-    assert CODE_SALT == "repro-exec-v2", (
+    assert CODE_SALT == "repro-exec-v3", (
         "CODE_SALT changed: re-record PINNED_KEYS under the new salt"
     )
 

@@ -326,7 +326,7 @@ def test_benign_fault_plan_executes_and_is_observed():
     REGISTRY.reset()
     point = SweepPoint(
         circuit="primary1", algorithm="hybrid", nprocs=2, scale=0.05,
-        circuit_seed=1, config=RouterConfig(seed=1, backend="python"),
+        circuit_seed=1, config=RouterConfig(seed=1),
         fault_plan="message-delay", fault_seed=3,
     )
     record = execute_point(point, compute_baseline=False)

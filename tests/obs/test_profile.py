@@ -133,38 +133,16 @@ def test_diff_ignores_vanished_steps():
     assert profile_diff(old, new).ok
 
 
-def _backend_prof(steps, backend):
-    prof = _prof(steps)
-    prof.backend = backend
-    return prof
-
-
-def test_diff_cross_backend_warns_by_default():
-    old = _backend_prof({"step1_steiner": 1.0}, "python")
-    new = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    diff = profile_diff(old, new)
-    assert diff.backend_mismatch
-    assert diff.ok  # a warning, not a failure
-    text = diff.render()
-    assert "WARNING" in text and "ERROR" not in text
-    assert "status: OK" in text
-
-
-def test_diff_cross_backend_strict_is_hard_error():
-    old = _backend_prof({"step1_steiner": 1.0}, "python")
-    new = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    diff = profile_diff(old, new, strict_backend=True)
-    assert diff.backend_mismatch
-    assert not diff.ok  # hard error even with zero step regressions
-    text = diff.render()
-    assert "ERROR" in text
-    assert "BACKEND MISMATCH" in text
-
-
-def test_diff_strict_backend_passes_when_backends_match():
-    old = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    new = _backend_prof({"step1_steiner": 1.0}, "numpy")
-    assert profile_diff(old, new, strict_backend=True).ok
+def test_from_dict_ignores_legacy_backend_key():
+    """Profiles recorded while the congestion core had several
+    implementations carry a ``"backend"`` stamp; they must still load."""
+    legacy = _prof({"step1_steiner": 1.0, "step2_coarse": 2.0}).to_dict()
+    assert "backend" not in legacy
+    legacy["backend"] = "numpy"
+    prof = RunProfile.from_dict(legacy)
+    assert prof.step_seconds("step2_coarse") == 2.0
+    assert "backend" not in prof.to_dict()
+    assert profile_diff(prof, _prof({"step1_steiner": 1.0, "step2_coarse": 2.0})).ok
 
 
 def test_spec_coord_round_trips_and_stays_out_of_clean_dicts():

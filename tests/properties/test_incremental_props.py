@@ -12,18 +12,17 @@ missed the candidate's clipped ranges.  Two families of properties pin it:
   truncation, floor bookkeeping, bulk-commit suppression, and the
   ``set_external`` whole-grid invalidation are all exercised);
 * *freshness* — over arbitrary mutation sequences interleaving flip
-  waves with ``add_route`` / ``remove_route`` / ``set_external``, the
-  cached backends (python and numpy) commit exactly the orientations,
-  buffers, and work charges of an uncached sequential oracle.
+  waves with ``add_route`` / ``remove_route`` / ``set_external``, a
+  cached grid commits exactly the orientations, buffers, and work
+  charges of an uncached sequential oracle.
 
 A final non-property test pins the dispatch contract: a fully-clean wave
-performs zero gather and zero strict-oracle calls on either backend.
+performs zero gather and zero strict-oracle calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,7 +84,7 @@ def test_window_unchanged_is_sound(routes, data):
     in-grid logging) and log-cap truncation must both surface as
     conservative False answers, never unsound True ones.
     """
-    grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend="python")
+    grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8)
     span = NCOLS * NROWS  # upper bound on any in-window cell index
     mirror = []  # lossless: (window, version, lo, hi)
     orig_bump = grid._bump_w
@@ -157,11 +156,10 @@ def test_window_unchanged_is_sound(routes, data):
 def test_cached_flip_waves_never_serve_stale_costs(entries, seed, data):
     """Interleaved commits/externals/waves: caches change nothing.
 
-    Three grids run the identical history — an initial ``coarse_route``
-    then rounds of (mutations, flip wave): one python grid with the
-    versioned cache armed, one python grid with the cache detached (every
-    candidate re-evaluated — the oracle), and one numpy grid.  After
-    every wave the committed orientations must agree, and at the end the
+    Two grids run the identical history — an initial ``coarse_route``
+    then rounds of (mutations, flip wave): one with the versioned cache
+    armed, one with the cache detached (every candidate re-evaluated —
+    the oracle).  After every wave the committed orientations must agree, and at the end the
     congestion buffers and total work charges must be equal — a cached
     "clean" answer that survived a mutation it should not have would
     diverge here.
@@ -171,19 +169,19 @@ def test_cached_flip_waves_never_serve_stale_costs(entries, seed, data):
         for net, ax, ar, bx, br in entries
     ]
     grids = {}
-    for kind, backend in (("cached", "python"), ("oracle", "python"), ("numpy", "numpy")):
-        grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend=backend)
+    for kind in ("cached", "oracle"):
+        grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8)
         counter = TallyCounter()
         committed = coarse_route(
             pool, grid, np.random.default_rng(seed), passes=1, counter=counter
         )
         diag = [i for i, ps in enumerate(committed) if ps.route_low is not None]
         if kind == "oracle":
-            # rebind the backend cache to a *different* pool identity:
+            # rebind the grid's cache to a *different* pool identity:
             # every subsequent wave re-evaluates from scratch
-            grid.begin_flip_waves(committed, [])
+            grid.begin_flip_waves([])
         else:
-            grid.begin_flip_waves(committed, diag)
+            grid.begin_flip_waves(diag)
         grids[kind] = (grid, committed, diag, counter)
 
     extras = []  # routes added after the initial commit (shared objects)
@@ -225,16 +223,15 @@ def test_cached_flip_waves_never_serve_stale_costs(entries, seed, data):
             kind: [committed[i].orient for i in diag]
             for kind, (_, committed, diag, _) in grids.items()
         }
-        assert orients["cached"] == orients["oracle"] == orients["numpy"]
+        assert orients["cached"] == orients["oracle"]
 
     buffers = {
         kind: (grid.feed_demand.copy(), grid.husage.copy(), dict(counter.units))
         for kind, (grid, _, _, counter) in grids.items()
     }
-    for kind in ("oracle", "numpy"):
-        assert np.array_equal(buffers["cached"][0], buffers[kind][0])
-        assert np.array_equal(buffers["cached"][1], buffers[kind][1])
-        assert buffers["cached"][2] == buffers[kind][2]
+    assert np.array_equal(buffers["cached"][0], buffers["oracle"][0])
+    assert np.array_equal(buffers["cached"][1], buffers["oracle"][1])
+    assert buffers["cached"][2] == buffers["oracle"][2]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +240,7 @@ def test_cached_flip_waves_never_serve_stale_costs(entries, seed, data):
 
 
 def _isolated_pool():
-    """Diagonals in distinct columns, tall enough to clear the numpy
-    backend's dispatch-lean gate (mean fused ops >= BATCH_MIN_MEAN_OPS)."""
+    """Tall diagonals in distinct columns: no two candidates interact."""
     nrows, ncols, cw = 24, 12, 8
     pool = [
         (net, Segment.make(Point(2 * net * cw, 0), Point((2 * net + 1) * cw, nrows - 1)))
@@ -253,38 +249,33 @@ def _isolated_pool():
     return pool, nrows, ncols, cw
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_fully_clean_wave_makes_zero_gather_calls(backend, monkeypatch):
+def test_fully_clean_wave_makes_zero_gather_calls(monkeypatch):
     """Re-running a wave with no intervening mutations touches no kernels.
 
     After one evaluated wave over non-interacting candidates, every
     candidate is provably clean (version match or range proof), so the
-    next wave must be pure charge replay: zero ``_gather`` calls, zero
-    strict-oracle walks, zero numpy row refreshes.
+    next wave must be pure charge replay: zero ``_gather`` calls and
+    zero strict-oracle walks.
     """
     pool, nrows, ncols, cw = _isolated_pool()
-    grid = CoarseGrid(ncols=ncols, nrows=nrows, col_width=cw, backend=backend)
+    grid = CoarseGrid(ncols=ncols, nrows=nrows, col_width=cw)
     committed = coarse_route(pool, grid, np.random.default_rng(7), passes=1)
     diag = [i for i, ps in enumerate(committed) if ps.route_low is not None]
     assert len(diag) == len(pool)
-    grid.begin_flip_waves(committed, diag)
+    grid.begin_flip_waves(diag)
     order = np.arange(len(diag))
 
     grid.flip_wave(committed, diag, order)  # evaluates: all dirty
-    backend_obj = grid._backend
-    clean0 = backend_obj.stats["clean"]
-    dirty0 = backend_obj.stats["dirty"]
+    clean0 = grid.flip_stats["clean"]
+    dirty0 = grid.flip_stats["dirty"]
 
     def boom(*args, **kwargs):  # pragma: no cover - must never run
         raise AssertionError("kernel invoked during a fully-clean wave")
 
     monkeypatch.setattr(coarse_mod, "_gather", boom)
     monkeypatch.setattr(coarse_mod, "_strict_eval", boom)
-    if backend == "numpy":
-        monkeypatch.setattr(type(backend_obj), "_refresh_rows", boom)
-        monkeypatch.setattr(type(backend_obj), "_decide", boom)
 
     changed = grid.flip_wave(committed, diag, order)
     assert changed == 0
-    assert backend_obj.stats["clean"] == clean0 + len(diag)
-    assert backend_obj.stats["dirty"] == dirty0
+    assert grid.flip_stats["clean"] == clean0 + len(diag)
+    assert grid.flip_stats["dirty"] == dirty0

@@ -119,25 +119,10 @@ def test_buffers_identical_across_modes(routes, ext):
 
 
 # ---------------------------------------------------------------------------
-# Batched wave evaluation (numpy backend) vs the sequential backend
+# Wave-level entry points vs the strict oracle
 # ---------------------------------------------------------------------------
 
 pair_candidates = st.lists(st.tuples(segments, segments), min_size=1, max_size=12)
-
-
-def _twin_backend_grids(routes, ext):
-    """A numpy-backend grid and a python-backend grid with the same state."""
-    batched = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend="numpy")
-    sequential = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend="python")
-    for r in routes:
-        batched.add_route(r)
-        sequential.add_route(r)
-    if ext is not None:
-        feed = np.array(ext[0], dtype=np.int32).reshape(NROWS, NCOLS)
-        hus = np.array(ext[1], dtype=np.int32).reshape(NROWS + 1, NCOLS)
-        batched.set_external(feed, hus)
-        sequential.set_external(feed, hus)
-    return batched, sequential
 
 
 def _as_pairs(raw_pairs):
@@ -150,31 +135,16 @@ def _as_pairs(raw_pairs):
 
 @settings(max_examples=150)
 @given(st.lists(segments, max_size=20), pair_candidates, externals)
-def test_batched_wave_matches_sequential_backend(routes, raw_pairs, ext):
-    """One fused-gather wave == per-pair sequential calls, bit for bit.
-
-    Both the cost pair and the orientation pick of every candidate must
-    be identical floats/bools: the batched gathers use the same operation
-    order as the scalar kernels and near-ties defer to the same strict
-    oracle walk.
-    """
-    batched, sequential = _twin_backend_grids(routes, ext)
+def test_batched_eval_matches_strict_oracle(routes, raw_pairs, ext):
+    """``eval_both_batch`` == per-pair ``eval_both``, and its picks are
+    the strict oracle's."""
+    fast, strict = _twin_grids(routes, ext)
     pairs = _as_pairs(raw_pairs)
-    assert batched.eval_both_batch(pairs) == sequential.eval_both_batch(pairs)
-
-
-@settings(max_examples=100)
-@given(st.lists(segments, max_size=20), pair_candidates, externals)
-def test_buffers_identical_after_batched_commit(routes, raw_pairs, ext):
-    """Committing each wave's picks leaves both backends' buffers equal."""
-    batched, sequential = _twin_backend_grids(routes, ext)
-    pairs = _as_pairs(raw_pairs)
-    for grid in (batched, sequential):
-        for (low, high), (_cl, _ch, pick) in zip(pairs, grid.eval_both_batch(pairs)):
-            grid.add_route(high if pick else low)
-    assert np.array_equal(batched.feed_demand, sequential.feed_demand)
-    assert np.array_equal(batched.husage, sequential.husage)
-    assert batched.all_crossings() == sequential.all_crossings()
+    batch = fast.eval_both_batch(pairs)
+    assert batch == [fast.eval_both(low, high) for low, high in pairs]
+    assert [pick for _, _, pick in batch] == [
+        pick for _, _, pick in strict.eval_both_batch(pairs)
+    ]
 
 
 pool_entries = st.lists(
@@ -191,37 +161,38 @@ pool_entries = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(pool_entries, st.integers(0, 2**31 - 1))
-def test_flip_waves_bit_identical_across_backends(entries, seed):
-    """Whole coarse improvement passes are backend-independent.
+def test_flip_waves_match_strict_oracle(entries, seed):
+    """Whole coarse improvement passes are mode-independent.
 
     Same pool, same rng seed: the committed orientations, the congestion
-    buffers, and the charged work units must all match — flips, memo
-    skips, and oracle deferrals included.
+    buffers, and the charged work units of the fast kernels (flip
+    records, clean-candidate skips, oracle deferrals included) must match
+    the strict per-cell walk's.
     """
     pool = [
         (net, Segment.make(Point(ax, ar), Point(bx, br)))
         for net, ax, ar, bx, br in entries
     ]
-    results = {}
-    for name in ("python", "numpy"):
-        grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, backend=name)
+    results = []
+    for strict in (False, True):
+        grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, strict=strict)
         counter = TallyCounter()
         committed = coarse_route(
             pool, grid, np.random.default_rng(seed), passes=2, counter=counter
         )
-        results[name] = (
+        results.append((
             [ps.orient for ps in committed],
             grid.feed_demand.copy(),
             grid.husage.copy(),
             grid.all_crossings(),
             dict(counter.units),
-        )
-    py, np_ = results["python"], results["numpy"]
-    assert py[0] == np_[0]
-    assert np.array_equal(py[1], np_[1])
-    assert np.array_equal(py[2], np_[2])
-    assert py[3] == np_[3]
-    assert py[4] == np_[4]
+        ))
+    fast, strict = results
+    assert fast[0] == strict[0]
+    assert np.array_equal(fast[1], strict[1])
+    assert np.array_equal(fast[2], strict[2])
+    assert fast[3] == strict[3]
+    assert fast[4] == strict[4]
 
 
 @settings(max_examples=100)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.service.schema import (
+    REQUEST_KEYS,
     ServiceRequestError,
     point_from_request,
     request_from_point,
@@ -63,6 +64,17 @@ class TestPointFromRequest:
         with pytest.raises(ServiceRequestError):
             point_from_request(body)
 
+    def test_backend_key_is_rejected_listing_allowed_keys(self):
+        """The congestion core has one implementation, so a request can
+        no longer name one; the 400 message tells the client what it may
+        send instead."""
+        assert "backend" not in REQUEST_KEYS
+        with pytest.raises(ServiceRequestError) as exc:
+            point_from_request({"circuit": "primary1", "backend": "fortran"})
+        message = str(exc.value)
+        assert "unknown request key(s) ['backend']" in message
+        assert f"allowed: {sorted(REQUEST_KEYS)}" in message
+
     def test_round_trip_through_request_body(self):
         point = point_from_request(
             {
@@ -71,7 +83,6 @@ class TestPointFromRequest:
                 "nprocs": 2,
                 "scale": 0.2,
                 "seed": 9,
-                "backend": "python",
             }
         )
         again = point_from_request(request_from_point(point))

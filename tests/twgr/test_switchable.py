@@ -219,5 +219,5 @@ def test_untouched_channels_replay_cached_charges():
         return dict(c.units)
 
     # determinism of the charge totals across reruns (replayed charges
-    # included) — the cross-backend work-parity suites cover the rest
+    # included) — the fast-versus-strict work-parity suites cover the rest
     assert run(3) == run(3)
