@@ -36,7 +36,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 #: semantics, modeled costs, or the record schema change.
 #: v2: run records embed a per-step ``profile`` section.
 #: v3: ``RouterConfig.backend`` is gone from point specs and profiles.
-CODE_SALT = "repro-exec-v3"
+#: v4: ``RouterConfig.strict_kernels`` is gone from point specs.
+CODE_SALT = "repro-exec-v4"
 
 #: default cache directory (relative to the current working directory)
 DEFAULT_CACHE_DIR = ".repro_cache"

@@ -5,9 +5,8 @@ These are the primitive cost/update kernels of the coarse grid — gap
 and the per-cell strict accumulation walk (the tie-breaking oracle of
 the fast cost form).
 
-``repro.grid.coarse`` re-exports every name, so existing imports keep
-working.  This module must import nothing from the grid package — it is
-the bottom of the grid's dependency stack.
+This module must import nothing from the grid package — it is the
+bottom of the grid's dependency stack.
 """
 
 from __future__ import annotations

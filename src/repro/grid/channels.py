@@ -96,8 +96,7 @@ class ChannelState:
         # bumps its counter, so any quantity derived purely from a
         # channel's span profile — a flip gain, a density, a work charge —
         # stays provably fresh while the versions it was computed under
-        # are unchanged.  This is the channel-window analogue of
-        # CoarseGrid._wver.
+        # are unchanged.
         self._ver: Dict[int, int] = {}
         #: extra work units charged per flip evaluation — set by callers
         #: whose real implementation consults channel structures larger

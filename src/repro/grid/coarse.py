@@ -28,6 +28,11 @@ interval.  The pre-rewrite per-cell accumulation survives behind
 exact integer gathers, the fast kernel resolves every orientation
 decision identically (near-ties fall back to the oracle comparison, see
 :meth:`CoarseGrid.eval_both`).
+
+Step 2's improvement passes run through :meth:`CoarseGrid.flip_wave`: one
+fused rip-up/evaluate/re-commit kernel (:meth:`CoarseGrid.flip_step_rec`)
+per diagonal, or the oracle sequence in strict mode.  Every candidate is
+re-evaluated in every pass.
 """
 
 from __future__ import annotations
@@ -42,9 +47,8 @@ from repro.geometry import Segment
 from repro.perfmodel.counter import WorkCounter, NULL_COUNTER
 
 # The primitive congestion kernels (gap computation, range bumps, exact
-# integer gathers, the strict per-cell oracle walk) live in their own
-# module; they are re-exported here so historical imports keep working.
-from repro.grid._kernels import (  # noqa: F401  (re-exports)
+# integer gathers, the strict per-cell oracle walk) live in their own module.
+from repro.grid._kernels import (
     _TIE_EPS,
     _bump_range,
     _defer_bump,
@@ -53,20 +57,6 @@ from repro.grid._kernels import (  # noqa: F401  (re-exports)
     _strict_eval,
     _uncovered,
 )
-
-
-#: per-window bump-log capacity — a window seeing more bumps than this
-#: between two evaluations of the same candidate simply loses its
-#: range-proof (the floor rises and staleness is assumed), which is
-#: always safe; flips bump a handful of windows per pass, so the cap is
-#: rarely hit outside the initial commit (which saturates wholesale)
-_WLOG_CAP = 16
-
-# flip-record field indices read by the incremental engine (flip_wave)
-_WIDS = 22   # the (wid_vl, wid_vh, wid_hl, wid_hh) window-id tuple
-_OPS = 21    # the fused low+high work charge
-_V_LO, _V_HI = 3, 4    # clipped vertical range read in both vert windows
-_H_LO, _H_HI = 14, 15  # clipped horizontal range read in both channels
 
 
 class Orientation(enum.IntEnum):
@@ -174,49 +164,14 @@ class CoarseGrid:
         self._ext_hus_cells: Optional[List[int]] = None
         self._ext_feed_prefix: Optional[List[int]] = None
         self._ext_hus_prefix: Optional[List[int]] = None
-        # Resource-window version counters — the incremental engine's
-        # single source of invalidation truth.  Window id ``g`` is feed
-        # column ``g`` (``0 .. ncols-1``); window ``ncols + ci`` is
-        # channel index ``ci`` (``0 .. nrows``); the last id is a dummy
-        # window for absent route sides that is never bumped, so cached
-        # version vectors can always be fixed 4-tuples.  Every mutation
-        # of a column/channel — buffer bump *or* bare multiset change
-        # (a sibling interval fully covered by a candidate's own run
-        # changes that candidate's post-rip-up covered set without
-        # touching the buffer) — bumps the owning window, so equality of
-        # a cached version vector with the live one proves the windows
-        # an evaluation read are byte-identical to when it was cached.
-        self._wdummy = ncols + nrows + 1
-        self._wver: List[int] = [0] * (ncols + nrows + 2)
-        # Bounded per-window logs of recent bump ranges, enabling
-        # *range-aware* invalidation: version mismatch alone does not
-        # force a re-evaluation if every bump since the cached version
-        # provably missed the candidate's clipped range in that window
-        # (disjoint ranges leave both the buffer cells and the relevant
-        # multiset overlaps untouched).  ``_wlog[w]`` holds
-        # ``(version, lo, hi)`` ascending for every bump with
-        # ``version > _wfloor[w]``; anything at or below the floor is
-        # unknown and conservatively treated as overlapping.
-        self._wlog: List[List[Tuple[int, int, int]]] = [
-            [] for _ in range(ncols + nrows + 2)
-        ]
-        self._wfloor: List[int] = [0] * (ncols + nrows + 2)
         # difference arrays of a deferred bulk commit (see
         # begin_bulk_commit); None outside bulk-commit sections
         self._bulk_fd: Optional[List[int]] = None
         self._bulk_hd: Optional[List[int]] = None
-        # The incremental engine's per-candidate cache (see flip_wave):
-        # the window-version vector each flip candidate's last evaluation
-        # read, valid only for the pool identity held in _cache_idx.
-        self._seen: List[Optional[Tuple[int, int, int, int]]] = []
-        self._cache_idx: Optional[Sequence[int]] = None
-        #: running clean/dirty candidate tallies of the incremental
-        #: engine.  Deliberately *not* routed through the work counter:
-        #: a clean candidate replays its exact charge, so the split is a
-        #: caching detail, not part of the modeled work.
-        self.flip_stats: Dict[str, int] = {"clean": 0, "dirty": 0}
+        # evaluated flip candidates since the last mark_flip_pass, and the
+        # per-pass records behind flip_pass_stats()
+        self._pass_evals = 0
         self._pass_stats: List[Dict[str, int]] = []
-        self._last_stats: Dict[str, int] = {"clean": 0, "dirty": 0}
 
     @property
     def feed_demand(self) -> np.ndarray:
@@ -282,14 +237,6 @@ class CoarseGrid:
         else:
             self._ext_hus_cells = None
             self._ext_hus_prefix = None
-        # a new snapshot shifts every cost: all windows change at once,
-        # over their full ranges — saturate the bump logs so no cached
-        # evaluation can range-prove its way past the snapshot swap
-        self._wver = [v + 1 for v in self._wver]
-        self._wfloor = list(self._wver)
-        for log in self._wlog:
-            if log:
-                del log[:]
 
     # -- bulk initial commit ----------------------------------------------
 
@@ -298,11 +245,11 @@ class CoarseGrid:
 
         Between this call and :meth:`end_bulk_commit` the commit kernels
         record each range bump as two difference-array boundary writes
-        instead of walking cells, while multisets, flip records, window
-        versions and view invalidation behave exactly as in the direct
-        path.  The usage buffers are stale inside the section — nothing
-        in the initial commit loop reads them — and one prefix sum per
-        buffer at the end reproduces the per-cell state bit for bit.
+        instead of walking cells, while multisets, flip records and view
+        invalidation behave exactly as in the direct path.  The usage
+        buffers are stale inside the section — nothing in the initial
+        commit loop reads them — and one prefix sum per buffer at the end
+        reproduces the per-cell state bit for bit.
         """
         self._bulk_fd = [0] * (len(self._feed) + 1)
         self._bulk_hd = [0] * (len(self._hus) + 1)
@@ -311,12 +258,6 @@ class CoarseGrid:
         """Apply the deferred bumps and leave bulk-commit mode."""
         fd, hd = self._bulk_fd, self._bulk_hd
         self._bulk_fd = self._bulk_hd = None
-        # commits bump windows without logging ranges (far too many to
-        # bound a log); raise every floor so stale stamps can't range-prove
-        self._wfloor = list(self._wver)
-        for log in self._wlog:
-            if log:
-                del log[:]
         if fd is not None and any(fd):
             delta = np.cumsum(np.asarray(fd[:-1], dtype=np.int64))
             self._feed = (
@@ -423,39 +364,6 @@ class CoarseGrid:
         self._hus_view = None
         self._row_index = None
 
-    def _bump_w(self, w: int, lo: int, hi: int) -> None:
-        """Bump window ``w``'s version, logging the bumped range.
-
-        ``[lo, hi]`` is the inclusive range whose buffer cells and
-        multiset overlaps the mutation may have changed.  Inside a bulk
-        commit the log is skipped — :meth:`end_bulk_commit` saturates
-        every floor, which invalidates wholesale."""
-        ver = self._wver[w] + 1
-        self._wver[w] = ver
-        if self._bulk_fd is not None:
-            return
-        log = self._wlog[w]
-        log.append((ver, lo, hi))
-        if len(log) > _WLOG_CAP:
-            self._wfloor[w] = log[0][0]
-            del log[0]
-
-    def window_unchanged(self, w: int, cached: int, lo: int, hi: int) -> bool:
-        """True when window ``w``'s content over ``[lo, hi]`` is provably
-        identical to what it was at version ``cached``.
-
-        Every bump newer than ``cached`` must be in the log (i.e.
-        ``cached >= _wfloor[w]``) and miss the range; a bump at or below
-        the floor is unknowable and fails the proof."""
-        if cached < self._wfloor[w]:
-            return False
-        for ver, a, b in reversed(self._wlog[w]):
-            if ver <= cached:
-                break
-            if a <= hi and b >= lo:
-                return False
-        return True
-
     def add_route(self, route: RoutedSegment) -> None:
         """Commit a route, updating shared usage maps."""
         net = route.net
@@ -479,7 +387,6 @@ class CoarseGrid:
                     ivs = nv[key] = []
                 _bump_range(self._feed, g * nr - rl, lo, hi, ivs, 1)
                 ivs.append((lo, hi))
-                self._bump_w(g, lo, hi)
                 self._feed_view = None
                 self._row_index = None
         horiz = route.horiz
@@ -493,7 +400,6 @@ class CoarseGrid:
                     ivs = nh[key] = []
                 _bump_range(self._hus, (ch - rl) * self.ncols, g_lo, g_hi, ivs, 1)
                 ivs.append((g_lo, g_hi))
-                self._bump_w(self.ncols + (ch - rl), g_lo, g_hi)
                 self._hus_view = None
 
     def remove_route(self, route: RoutedSegment) -> None:
@@ -507,7 +413,6 @@ class CoarseGrid:
                 raise KeyError(f"vertical usage underflow at {(net, lo, g)}")
             ivs.remove((lo, hi))
             _bump_range(self._feed, g * self.nrows - self.row_lo, lo, hi, ivs, -1)
-            self._bump_w(g, lo, hi)
             self._feed_view = None
             self._row_index = None
         hr = self._horiz_range(route)
@@ -518,7 +423,6 @@ class CoarseGrid:
                 raise KeyError(f"horizontal usage underflow at {(net, ch, g_lo)}")
             ivs.remove((g_lo, g_hi))
             _bump_range(self._hus, (ch - self.row_lo) * self.ncols, g_lo, g_hi, ivs, -1)
-            self._bump_w(self.ncols + (ch - self.row_lo), g_lo, g_hi)
             self._hus_view = None
 
     # -- cost --------------------------------------------------------------
@@ -656,284 +560,6 @@ class CoarseGrid:
             )
         return c_low, c_high, d > 0
 
-    def flip_step(
-        self,
-        low: RoutedSegment,
-        high: RoutedSegment,
-        current: RoutedSegment,
-        counter: WorkCounter = NULL_COUNTER,
-    ) -> bool:
-        """One rip-up/re-commit step of the coarse improvement pass.
-
-        Removes ``current`` (which must be ``low`` or ``high``), evaluates
-        both orientations on the remaining state, commits the cheaper one
-        and returns ``True`` when ``high`` won.  Semantically identical to
-        ``remove_route + eval_cost×2 + add_route`` — including the work
-        charged to ``counter`` — but fused into one call so the pass pays
-        the clipping, key lookups and call overhead once.
-        """
-        if self.strict:
-            self.remove_route(current)
-            c_low = self._eval_cost_strict(low, counter)
-            c_high = self._eval_cost_strict(high, counter)
-            pick_high = c_high < c_low
-            self.add_route(high if pick_high else low)
-            return pick_high
-
-        net = low.net
-        nr = self.nrows
-        nc = self.ncols
-        rl = self.row_lo
-        feed = self._feed
-        hus = self._hus
-        net_vert = self._net_vert
-        net_horiz = self._net_horiz
-
-        # Clip the shared row range once (both orientations cross the same
-        # rows; only the column carrying the vertical run differs).
-        ivs_vl = ivs_vh = None
-        v_lo = 1
-        v_hi = 0
-        gl = gh = 0
-        vl = low.vert
-        if vl is not None:
-            gl, r_lo, r_hi = vl
-            gh = high.vert[0]
-            v_lo = r_lo + 1
-            if v_lo < rl:
-                v_lo = rl
-            v_hi = r_hi - 1
-            rh = rl + nr - 1
-            if v_hi > rh:
-                v_hi = rh
-            if v_lo <= v_hi:
-                key = (net, gl)
-                ivs_vl = net_vert.get(key)
-                if ivs_vl is None:
-                    ivs_vl = net_vert[key] = []
-                key = (net, gh)
-                ivs_vh = net_vert.get(key)
-                if ivs_vh is None:
-                    ivs_vh = net_vert[key] = []
-
-        # Horizontal parts share the column range; the channels differ and
-        # are window-checked independently.
-        ivs_hl = ivs_hh = None
-        h_lo = h_hi = 0
-        ci_l = ci_h = -1
-        hl = low.horiz
-        if hl is not None:
-            ch_l, h_lo, h_hi = hl
-            ch_h = high.horiz[0]
-            ci_l = ch_l - rl
-            if not 0 <= ci_l <= nr:
-                ci_l = -1
-            else:
-                key = (net, ch_l)
-                ivs_hl = net_horiz.get(key)
-                if ivs_hl is None:
-                    ivs_hl = net_horiz[key] = []
-            ci_h = ch_h - rl
-            if not 0 <= ci_h <= nr:
-                ci_h = -1
-            else:
-                key = (net, ch_h)
-                ivs_hh = net_horiz.get(key)
-                if ivs_hh is None:
-                    ivs_hh = net_horiz[key] = []
-
-        # 1. Rip up the current orientation.
-        cur_is_high = current is high
-        if ivs_vl is not None:
-            ivs_cur = ivs_vh if cur_is_high else ivs_vl
-            ivs_cur.remove((v_lo, v_hi))
-            _bump_range(
-                feed, (gh if cur_is_high else gl) * nr - rl,
-                v_lo, v_hi, ivs_cur, -1,
-            )
-        ci_cur = ci_h if cur_is_high else ci_l
-        if ci_cur >= 0:
-            ivs_cur = ivs_hh if cur_is_high else ivs_hl
-            ivs_cur.remove((h_lo, h_hi))
-            _bump_range(hus, ci_cur * nc, h_lo, h_hi, ivs_cur, -1)
-
-        # 2. Evaluate both orientations on the remaining state.
-        w = self.weights
-        wf = w.feed
-        wfc = w.feed_congestion
-        wcc = w.channel_congestion
-        efp = self._ext_feed_prefix
-        ehp = self._ext_hus_prefix
-        c_low = c_high = 0.0
-        ops_low = ops_high = 0
-        n_vl = s_vl = n_vh = s_vh = 0
-        n_hl = s_hl = n_hh = s_hh = 0
-        if ivs_vl is not None:
-            ops_low = ops_high = v_hi - v_lo + 1
-            n_vl, s_vl = _gather(feed, gl * nr - rl, v_lo, v_hi, ivs_vl,
-                                 efp, gl * (nr + 1) - rl)
-            c_low = n_vl * wf + wfc * s_vl
-            n_vh, s_vh = _gather(feed, gh * nr - rl, v_lo, v_hi, ivs_vh,
-                                 efp, gh * (nr + 1) - rl)
-            c_high = n_vh * wf + wfc * s_vh
-        if ci_l >= 0:
-            ops_low += h_hi - h_lo + 1
-            n_hl, s_hl = _gather(hus, ci_l * nc, h_lo, h_hi, ivs_hl,
-                                 ehp, ci_l * (nc + 1))
-            c_low += n_hl * 1.0 + wcc * s_hl
-        if ci_h >= 0:
-            ops_high += h_hi - h_lo + 1
-            n_hh, s_hh = _gather(hus, ci_h * nc, h_lo, h_hi, ivs_hh,
-                                 ehp, ci_h * (nc + 1))
-            c_high += n_hh * 1.0 + wcc * s_hh
-        counter.add("coarse", ops_low if ops_low > 0 else 1)
-        counter.add("coarse", ops_high if ops_high > 0 else 1)
-
-        d = c_low - c_high
-        if not -_TIE_EPS < d < _TIE_EPS:
-            pick_high = d > 0
-        elif (s_vl == 0 and s_vh == 0 and s_hl == 0 and s_hh == 0
-              and n_vl == n_vh and n_hl == n_hh):
-            # Both orientations cross only congestion-free cells (the sums
-            # are exact, so zero sum means every cell value is zero) and
-            # the same number of them: the strict walks would accumulate
-            # identical summand sequences, giving bit-equal costs — and a
-            # bit-equal tie keeps the low orientation.
-            pick_high = False
-        else:
-            extf = self._ext_feed_cells
-            exth = self._ext_hus_cells
-            c_low_s = _strict_eval(
-                feed, gl * nr - rl, v_lo, v_hi, ivs_vl, extf, wf, wfc,
-                hus, ci_l * nc, h_lo, h_hi, ivs_hl, exth, wcc,
-                ivs_vl is not None, ci_l >= 0,
-            )
-            c_high_s = _strict_eval(
-                feed, gh * nr - rl, v_lo, v_hi, ivs_vh, extf, wf, wfc,
-                hus, ci_h * nc, h_lo, h_hi, ivs_hh, exth, wcc,
-                ivs_vh is not None, ci_h >= 0,
-            )
-            pick_high = c_high_s < c_low_s
-
-        # 3. Commit the winner.
-        if ivs_vl is not None:
-            ivs_new = ivs_vh if pick_high else ivs_vl
-            _bump_range(
-                feed, (gh if pick_high else gl) * nr - rl,
-                v_lo, v_hi, ivs_new, 1,
-            )
-            ivs_new.append((v_lo, v_hi))
-            self._feed_view = None
-            self._row_index = None
-        ci_new = ci_h if pick_high else ci_l
-        if ci_new >= 0:
-            ivs_new = ivs_hh if pick_high else ivs_hl
-            _bump_range(hus, ci_new * nc, h_lo, h_hi, ivs_new, 1)
-            ivs_new.append((h_lo, h_hi))
-            self._hus_view = None
-        if pick_high != cur_is_high:
-            if ivs_vl is not None:
-                self._bump_w(gl, v_lo, v_hi)
-                self._bump_w(gh, v_lo, v_hi)
-            if ci_l >= 0:
-                self._bump_w(nc + ci_l, h_lo, h_hi)
-            if ci_h >= 0:
-                self._bump_w(nc + ci_h, h_lo, h_hi)
-        return pick_high
-
-    def make_flip_rec(
-        self, low: RoutedSegment, high: RoutedSegment
-    ) -> Optional[tuple]:
-        """Precompute the flip kernel's per-diagonal invariants.
-
-        A diagonal's two candidate routes are pure geometry, so their
-        clipped ranges, flat-buffer bases, prefix-table offsets, interval
-        multiset references (stable — emptied lists are retained) and work
-        charges never change across improvement passes.  The returned
-        opaque record feeds :meth:`flip_step_rec`; ``None`` in strict mode
-        (the oracle path takes no shortcuts).
-        """
-        if self.strict:
-            return None
-        net = low.net
-        nr = self.nrows
-        nc = self.ncols
-        rl = self.row_lo
-        net_vert = self._net_vert
-        net_horiz = self._net_horiz
-
-        dummy = self._wdummy
-        wid_vl = wid_vh = dummy
-        has_v = False
-        v_lo = 1
-        v_hi = 0
-        fb_l = fb_h = efpb_l = efpb_h = 0
-        ivs_vl = ivs_vh = None
-        vl = low.vert
-        if vl is not None:
-            gl, r_lo, r_hi = vl
-            gh = high.vert[0]
-            v_lo = max(r_lo + 1, rl)
-            v_hi = min(r_hi - 1, rl + nr - 1)
-            if v_lo <= v_hi:
-                has_v = True
-                wid_vl = gl
-                wid_vh = gh
-                fb_l = gl * nr - rl
-                fb_h = gh * nr - rl
-                efpb_l = gl * (nr + 1) - rl
-                efpb_h = gh * (nr + 1) - rl
-                key = (net, gl)
-                ivs_vl = net_vert.get(key)
-                if ivs_vl is None:
-                    ivs_vl = net_vert[key] = []
-                key = (net, gh)
-                ivs_vh = net_vert.get(key)
-                if ivs_vh is None:
-                    ivs_vh = net_vert[key] = []
-
-        h_lo = h_hi = 0
-        ci_l = ci_h = -1
-        hb_l = hb_h = ehpb_l = ehpb_h = 0
-        wid_hl = wid_hh = dummy
-        ivs_hl = ivs_hh = None
-        hl = low.horiz
-        if hl is not None:
-            ch_l, h_lo, h_hi = hl
-            ch_h = high.horiz[0]
-            if rl <= ch_l <= rl + nr:
-                ci_l = ch_l - rl
-                hb_l = ci_l * nc
-                ehpb_l = ci_l * (nc + 1)
-                wid_hl = self.ncols + ci_l
-                key = (net, ch_l)
-                ivs_hl = net_horiz.get(key)
-                if ivs_hl is None:
-                    ivs_hl = net_horiz[key] = []
-            if rl <= ch_h <= rl + nr:
-                ci_h = ch_h - rl
-                hb_h = ci_h * nc
-                ehpb_h = ci_h * (nc + 1)
-                wid_hh = self.ncols + ci_h
-                key = (net, ch_h)
-                ivs_hh = net_horiz.get(key)
-                if ivs_hh is None:
-                    ivs_hh = net_horiz[key] = []
-
-        n_v = v_hi - v_lo + 1 if has_v else 0
-        n_h = h_hi - h_lo + 1
-        ops_low = n_v + (n_h if ci_l >= 0 else 0)
-        ops_high = n_v + (n_h if ci_h >= 0 else 0)
-        ops_lh = (ops_low if ops_low > 0 else 1) + (ops_high if ops_high > 0 else 1)
-        return (
-            has_v, fb_l, fb_h, v_lo, v_hi, (v_lo, v_hi), ivs_vl, ivs_vh,
-            efpb_l, efpb_h,
-            ci_l, ci_h, hb_l, hb_h, h_lo, h_hi, (h_lo, h_hi), ivs_hl, ivs_hh,
-            ehpb_l, ehpb_h,
-            ops_lh,
-            (wid_vl, wid_vh, wid_hl, wid_hh),
-        )
-
     def commit_segment(
         self, net: int, seg: Segment, want_rec: bool
     ) -> Tuple[RoutedSegment, Optional[RoutedSegment], Optional[tuple]]:
@@ -941,11 +567,16 @@ class CoarseGrid:
 
         Equivalent to ``route_for(net, seg, VERT_AT_LOW)`` + ``add_route``
         and — for an unlocked diagonal (``want_rec``) —
-        ``route_for(net, seg, VERT_AT_HIGH)`` + :meth:`make_flip_rec`, but
-        the geometry (column clamps, range clips, multiset keys) is
-        computed once instead of re-derived by each call.  Returns
+        ``route_for(net, seg, VERT_AT_HIGH)``, with the geometry (column
+        clamps, range clips, multiset keys) computed once.  Returns
         ``(route_low, route_high, rec)``; the latter two are ``None`` for
         flat or locked segments, and ``rec`` is ``None`` in strict mode.
+
+        ``rec`` is the diagonal's flip record for :meth:`flip_step_rec`.
+        Both candidate routes are pure geometry, so their clipped ranges,
+        flat-buffer bases, prefix-table offsets, interval-multiset
+        references (stable — emptied lists are retained) and work charge
+        never change across improvement passes and are computed here once.
         """
         ax, ar = seg.a
         bx, br = seg.b
@@ -980,7 +611,6 @@ class CoarseGrid:
                 else:
                     _bump_range(self._feed, g * nr - rl, clo, chi, ivs, 1)
                 ivs.append((clo, chi))
-                self._bump_w(g, clo, chi)
                 self._feed_view = None
                 self._row_index = None
             return route, None, None
@@ -1003,7 +633,6 @@ class CoarseGrid:
                 else:
                     _bump_range(self._hus, (ch - rl) * self.ncols, g_lo, g_hi, ivs, 1)
                 ivs.append((g_lo, g_hi))
-                self._bump_w(self.ncols + (ch - rl), g_lo, g_hi)
                 self._hus_view = None
             return route, None, None
         # diagonal
@@ -1036,7 +665,6 @@ class CoarseGrid:
             else:
                 _bump_range(self._feed, gl * nr - rl, v_lo, v_hi, ivs_vl, 1)
             ivs_vl.append((v_lo, v_hi))
-            self._bump_w(gl, v_lo, v_hi)
             self._feed_view = None
             self._row_index = None
         in_l = rl <= ch_l <= rl + nr
@@ -1052,7 +680,6 @@ class CoarseGrid:
             else:
                 _bump_range(self._hus, (ch_l - rl) * self.ncols, g_lo, g_hi, ivs_hl, 1)
             ivs_hl.append((g_lo, g_hi))
-            self._bump_w(self.ncols + (ch_l - rl), g_lo, g_hi)
             self._hus_view = None
         if not want_rec:
             return route_low, None, None
@@ -1060,11 +687,7 @@ class CoarseGrid:
         if self.strict:
             return route_low, route_high, None
         nc = self.ncols
-        dummy = self._wdummy
-        wid_vl = wid_vh = wid_hl = wid_hh = dummy
         if has_v:
-            wid_vl = gl
-            wid_vh = gh
             fb_l = gl * nr - rl
             fb_h = gh * nr - rl
             efpb_l = gl * (nr + 1) - rl
@@ -1082,7 +705,6 @@ class CoarseGrid:
             ci_l = ch_l - rl
             hb_l = ci_l * nc
             ehpb_l = ci_l * (nc + 1)
-            wid_hl = nc + ci_l
         else:
             ci_l = -1
             hb_l = ehpb_l = 0
@@ -1090,7 +712,6 @@ class CoarseGrid:
             ci_h = ch_h - rl
             hb_h = ci_h * nc
             ehpb_h = ci_h * (nc + 1)
-            wid_hh = nc + ci_h
             key = (net, ch_h)
             ivs_hh = nh.get(key)
             if ivs_hh is None:
@@ -1110,24 +731,28 @@ class CoarseGrid:
             ci_l, ci_h, hb_l, hb_h, g_lo, g_hi, (g_lo, g_hi), ivs_hl, ivs_hh,
             ehpb_l, ehpb_h,
             ops_lh,
-            (wid_vl, wid_vh, wid_hl, wid_hh),
         )
         return route_low, route_high, rec
 
     def flip_step_rec(
         self, rec: tuple, cur_is_high: bool, counter: WorkCounter = NULL_COUNTER
     ) -> bool:
-        """:meth:`flip_step` driven by a :meth:`make_flip_rec` record.
+        """One rip-up/re-commit step of the coarse improvement pass.
 
-        Same rip-up / evaluate / re-commit semantics and identical work
-        charges, with every per-pass-invariant lookup (clipping, key
-        resolution, buffer bases) read from the record.
+        ``rec`` is the diagonal's flip record (see :meth:`commit_segment`)
+        and ``cur_is_high`` its committed orientation.  Rips up the current
+        route, evaluates both orientations on the remaining state, commits
+        the cheaper one and returns ``True`` when ``VERT_AT_HIGH`` won —
+        the same routes and work charges as ``remove_route`` +
+        ``eval_cost`` ×2 + ``add_route``, with every per-pass-invariant
+        lookup (clipping, key resolution, buffer bases) read from the
+        record.
         """
         (has_v, fb_l, fb_h, v_lo, v_hi, vt, ivs_vl, ivs_vh,
          efpb_l, efpb_h,
          ci_l, ci_h, hb_l, hb_h, h_lo, h_hi, ht, ivs_hl, ivs_hh,
          ehpb_l, ehpb_h,
-         ops_lh, wids) = rec
+         ops_lh) = rec
         feed = self._feed
         hus = self._hus
 
@@ -1231,13 +856,6 @@ class CoarseGrid:
         # orientation changed: apply the real rip-up of the old side, then
         # the commit of the new one (same operation order as remove_route
         # followed by add_route)
-        if has_v:
-            self._bump_w(wids[0], v_lo, v_hi)
-            self._bump_w(wids[1], v_lo, v_hi)
-        if ci_l >= 0:
-            self._bump_w(wids[2], h_lo, h_hi)
-        if ci_h >= 0:
-            self._bump_w(wids[3], h_lo, h_hi)
         if cur_is_high:
             if has_v:
                 _bump_range(feed, fb_h, v_lo, v_hi, ivs_vh, -1)
@@ -1283,17 +901,6 @@ class CoarseGrid:
         eval_both = self.eval_both
         return [eval_both(low, high, counter) for low, high in pairs]
 
-    def begin_flip_waves(self, diagonal_idx: Sequence[int]) -> None:
-        """Start a fresh incremental-engine cache for one pool.
-
-        ``diagonal_idx`` indexes the pool's orientation-free diagonals
-        (one cache slot each); :meth:`flip_wave` serves from the cache
-        only when handed this same list.  Called once per
-        ``coarse_route`` after the initial commit.
-        """
-        self._seen = [None] * len(diagonal_idx)
-        self._cache_idx = diagonal_idx
-
     def flip_wave(
         self,
         committed,
@@ -1307,74 +914,30 @@ class CoarseGrid:
         :class:`~repro.twgr.coarse_step.PooledSegment`, ``diagonal_idx``
         indexes its orientation-free diagonals, and ``order`` holds
         positions into ``diagonal_idx`` (one chunk of the pass
-        permutation).  Each candidate runs the fused
-        rip-up/evaluate/re-commit kernel (:meth:`flip_step_rec`, or
-        :meth:`flip_step` when it has no record) in wave order, updating
-        its ``orient``/``route``; returns how many orientations changed.
-
-        On top sits the incremental engine: every candidate remembers the
-        version vector of the four resource windows its evaluation read,
-        taken right after that evaluation.  While those versions are
-        unchanged, re-running the kernel would see byte-identical windows
-        and must re-pick the *current* orientation (re-evaluation after a
-        commit virtually rips up to exactly the state the previous
-        evaluation scored), so a clean candidate is a guaranteed "keep":
-        the gathers are skipped and the kernel's exact work charge is
-        replayed.  The cache is pure elision — routes and charges never
-        depend on it.
+        permutation).  In wave order, each candidate is ripped up, both
+        orientations are evaluated on the remaining state and the cheaper
+        one is recommitted — by :meth:`flip_step_rec`, or in strict mode by
+        the oracle sequence ``remove_route`` + ``_eval_cost_strict`` ×2 +
+        ``add_route``.  Updates each candidate's ``orient``/``route`` and
+        returns how many orientations changed.
         """
         LOW = Orientation.VERT_AT_LOW
         HIGH = Orientation.VERT_AT_HIGH
+        strict = self.strict
         flip_rec = self.flip_step_rec
-        flip = self.flip_step
-        stats = self.flip_stats
-        # a wave driven outside begin_flip_waves (or for another pool)
-        # runs uncached — correctness never depends on the cache
-        cached = self._cache_idx is diagonal_idx
-        seen = self._seen
-        wver = self._wver
-        unchanged = self.window_unchanged
+        ks = order.tolist()
+        self._pass_evals += len(ks)
         changed = 0
-        for k in order.tolist():
+        for k in ks:
             ps = committed[diagonal_idx[k]]
-            rec = ps.rec
-            if rec is None:
-                pick_high = flip(ps.route_low, ps.route_high, ps.route, counter)
-            elif not cached:
-                pick_high = flip_rec(rec, ps.orient is HIGH, counter)
+            if strict:
+                self.remove_route(ps.route)
+                c_low = self._eval_cost_strict(ps.route_low, counter)
+                c_high = self._eval_cost_strict(ps.route_high, counter)
+                pick_high = c_high < c_low
+                self.add_route(ps.route_high if pick_high else ps.route_low)
             else:
-                w0, w1, w2, w3 = rec[_WIDS]
-                cur = (wver[w0], wver[w1], wver[w2], wver[w3])
-                sk = seen[k]
-                if sk == cur:
-                    # clean ⟹ keep: the windows are byte-identical to the
-                    # candidate's last evaluation, which picked the current
-                    # orientation; replay the kernel's exact work charge
-                    counter.add("coarse", rec[_OPS])
-                    stats["clean"] += 1
-                    continue
-                if sk is not None:
-                    # range-aware second chance: every bump since the
-                    # cached versions may have missed this candidate's
-                    # clipped ranges, in which case the windows it reads
-                    # are still byte-identical over those ranges
-                    s0, s1, s2, s3 = sk
-                    c0, c1, c2, c3 = cur
-                    if (
-                        (s0 == c0 or unchanged(w0, s0, rec[_V_LO], rec[_V_HI]))
-                        and (s1 == c1 or unchanged(w1, s1, rec[_V_LO], rec[_V_HI]))
-                        and (s2 == c2 or unchanged(w2, s2, rec[_H_LO], rec[_H_HI]))
-                        and (s3 == c3 or unchanged(w3, s3, rec[_H_LO], rec[_H_HI]))
-                    ):
-                        seen[k] = cur
-                        counter.add("coarse", rec[_OPS])
-                        stats["clean"] += 1
-                        continue
-                pick_high = flip_rec(rec, ps.orient is HIGH, counter)
-                # post-evaluation versions: the state the winner was scored
-                # on (flip_step_rec bumps the windows itself when it flips)
-                seen[k] = (wver[w0], wver[w1], wver[w2], wver[w3])
-            stats["dirty"] += 1
+                pick_high = flip_rec(ps.rec, ps.orient is HIGH, counter)
             if pick_high:
                 new_orient, new_route = HIGH, ps.route_high
             else:
@@ -1385,17 +948,16 @@ class CoarseGrid:
         return changed
 
     def mark_flip_pass(self) -> None:
-        """Close out one coarse pass: record the clean/dirty candidate
-        counts accumulated since the previous mark."""
-        s = self.flip_stats
-        last = self._last_stats
-        self._pass_stats.append({k: s[k] - last[k] for k in ("clean", "dirty")})
-        self._last_stats = dict(s)
+        """Close out one coarse pass: record how many candidates it
+        evaluated since the previous mark."""
+        self._pass_stats.append({"clean": 0, "dirty": self._pass_evals})
+        self._pass_evals = 0
 
     def flip_pass_stats(self) -> List[Dict[str, int]]:
-        """Per-pass ``{"clean": n, "dirty": n}`` candidate splits recorded
+        """Per-pass ``{"clean": 0, "dirty": n}`` candidate counts recorded
         by :meth:`mark_flip_pass` — the observable behind the
-        ``dirty_frac`` benchmark stat."""
+        ``dirty_frac`` benchmark stat.  Every candidate is evaluated, so
+        ``clean`` is always 0."""
         return self._pass_stats
 
     # -- aggregate views ----------------------------------------------------

@@ -70,7 +70,6 @@ def hybrid_program(
             col_width=config.col_width,
             row_lo=block.row_lo,
             weights=config.weights,
-            strict=config.strict_kernels,
         )
         coarse_route(
             block.pool, grid, config.rng(2, rank),

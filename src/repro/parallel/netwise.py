@@ -90,7 +90,6 @@ def netwise_program(
             nrows=circuit.num_rows,
             col_width=config.col_width,
             weights=config.weights,
-            strict=config.strict_kernels,
         )
 
         def grid_sync() -> None:

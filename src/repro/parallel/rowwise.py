@@ -68,7 +68,6 @@ def rowwise_program(
             col_width=config.col_width,
             row_lo=row_lo,
             weights=config.weights,
-            strict=config.strict_kernels,
         )
         coarse_route(
             block.pool, grid, config.rng(2, comm.rank),

@@ -43,9 +43,10 @@ class PooledSegment:
     route: RoutedSegment
     route_low: Optional[RoutedSegment] = None
     route_high: Optional[RoutedSegment] = None
-    #: precomputed flip-kernel record (clipped ranges, buffer bases,
-    #: interval-multiset references) — ``None`` for flat/locked segments
-    #: and in strict mode
+    #: flip record built by ``CoarseGrid.commit_segment`` and consumed by
+    #: ``CoarseGrid.flip_step_rec`` (clipped ranges, buffer bases,
+    #: interval-multiset references, work charge) — ``None`` for
+    #: flat/locked segments and in strict mode
     rec: Optional[tuple] = None
 
 
@@ -131,7 +132,6 @@ def coarse_route(
     # the pass permutation, i.e. everything between two sync points — to
     # the grid in a single call, which runs the per-candidate
     # rip-up/evaluate/re-commit loop in wave order.
-    grid.begin_flip_waves(diagonal_idx)
     flip_wave = grid.flip_wave
     for _ in range(passes):
         changed = 0
@@ -140,7 +140,7 @@ def coarse_route(
             changed += flip_wave(committed, diagonal_idx, chunk, counter)
             if synced:
                 sync()
-        # close out the pass's clean/dirty candidate tally (dirty_frac)
+        # record the pass's evaluated-candidate count (flip_pass_stats)
         grid.mark_flip_pass()
         if changed == 0 and not synced:
             break

@@ -40,10 +40,6 @@ class RouterConfig:
     #: penalty weight for connection edges skipping rows (should never be
     #: needed when feedthrough assignment worked; kept huge)
     skip_row_penalty: int = 10_000
-    #: route with the reference per-cell congestion kernels instead of the
-    #: range-sum fast path (same routes either way; keep ``False`` outside
-    #: of equivalence testing)
-    strict_kernels: bool = False
     #: SPMD transport: ``"inprocess"`` (deterministic threads — the test
     #: oracle), ``"multiprocess"`` (one OS process per rank, measured
     #: wall-clock times on real cores), or ``"auto"`` (the

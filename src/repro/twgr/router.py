@@ -98,7 +98,7 @@ class GlobalRouter:
                 ncols = max(1, -(-max(work.max_row_width(), 1) // cfg.col_width))
                 grid = CoarseGrid(
                     ncols=ncols, nrows=work.num_rows, col_width=cfg.col_width,
-                    weights=cfg.weights, strict=cfg.strict_kernels,
+                    weights=cfg.weights,
                 )
                 pool = collect_segments(art.trees)
                 art.pool_size = len(pool)

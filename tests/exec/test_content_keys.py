@@ -49,18 +49,18 @@ POINTS = {
     ),
 }
 
-#: recorded under CODE_SALT "repro-exec-v3"
+#: recorded under CODE_SALT "repro-exec-v4"
 PINNED_KEYS = {
-    "default": "e46ab9c6f25c9f4cd51f537bc56f9006e6de7f254568d5b79c39a59fa1389d9e",
-    "serial": "a316a5eb73bfbc7e35917a86f16d717e814d9cc98b002d11109736b85d5ff629",
-    "parallel": "56623b85590e94ed8aa6d81ffa5482fdf45c01475217bec18102acf1f20a5248",
-    "faulted": "251a705e54a6d76d94fa79ccb871bb8fd6156697697b265a33efc664f1882b46",
-    "configured": "0cb43fb36c1b2a3e4e6734ad1959c61be71edfba4e19782c76a1c0249f5cc9e7",
+    "default": "29b976a24154744ab7494a34790c8afdd9dfebb7c836d5b9e9eca8c9b341cadc",
+    "serial": "aa38a146ff14092ed39162673a511c348e07a92a03bdbc7d2dd723144ccb374c",
+    "parallel": "ac2c75d7999a8599218e54b6697bcd1e15d330f331a9955eeed58757a8e0c5f3",
+    "faulted": "6fb40f2873c6e6328f7c0b1260714499792c25867b2b19d714a76747b01af0fa",
+    "configured": "d79f44dba937fa5d3e0df28e0c1430a2d0d2de936ea38df81a2323847f202db4",
 }
 
 
 def test_table_was_recorded_under_the_current_salt():
-    assert CODE_SALT == "repro-exec-v3", (
+    assert CODE_SALT == "repro-exec-v4", (
         "CODE_SALT changed: re-record PINNED_KEYS under the new salt"
     )
 

@@ -14,7 +14,10 @@ produce:
 * the orientation decision (``eval_both``) is bit-identical, because
   near-ties defer to the strict walk;
 * the mutable buffers themselves (feed demand, horizontal usage,
-  crossings) are identical after any add/remove history.
+  crossings) are identical after any add/remove history;
+* whole flip waves — alone or interleaved with ``add_route`` /
+  ``remove_route`` / ``set_external`` — commit the same orientations,
+  buffers and work units in both modes.
 """
 
 import numpy as np
@@ -23,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Segment
 from repro.grid import CoarseGrid
-from repro.grid.coarse import RoutedSegment, _TIE_EPS
+from repro.grid._kernels import _TIE_EPS
+from repro.grid.coarse import RoutedSegment
 from repro.perfmodel.counter import TallyCounter
 from repro.twgr.coarse_step import coarse_route
 
@@ -48,19 +52,24 @@ segments = st.tuples(
     st.integers(1, 3),            # which parts are present
 ).map(_segment)
 
-externals = st.one_of(
-    st.none(),
-    st.tuples(
-        st.lists(
-            st.integers(0, 4), min_size=NROWS * NCOLS, max_size=NROWS * NCOLS
-        ),
-        st.lists(
-            st.integers(0, 4),
-            min_size=(NROWS + 1) * NCOLS,
-            max_size=(NROWS + 1) * NCOLS,
-        ),
+external_cells = st.tuples(
+    st.lists(st.integers(0, 4), min_size=NROWS * NCOLS, max_size=NROWS * NCOLS),
+    st.lists(
+        st.integers(0, 4),
+        min_size=(NROWS + 1) * NCOLS,
+        max_size=(NROWS + 1) * NCOLS,
     ),
 )
+externals = st.one_of(st.none(), external_cells)
+
+
+def _grid_ext(cells):
+    """A ``(feed, husage)`` external snapshot from flat cell lists."""
+    feed_cells, hus_cells = cells
+    return (
+        np.array(feed_cells, dtype=np.int32).reshape(NROWS, NCOLS),
+        np.array(hus_cells, dtype=np.int32).reshape(NROWS + 1, NCOLS),
+    )
 
 
 def _twin_grids(routes, ext):
@@ -71,8 +80,7 @@ def _twin_grids(routes, ext):
         fast.add_route(r)
         strict.add_route(r)
     if ext is not None:
-        feed = np.array(ext[0], dtype=np.int32).reshape(NROWS, NCOLS)
-        hus = np.array(ext[1], dtype=np.int32).reshape(NROWS + 1, NCOLS)
+        feed, hus = _grid_ext(ext)
         fast.set_external(feed, hus)
         strict.set_external(feed, hus)
     return fast, strict
@@ -166,8 +174,8 @@ def test_flip_waves_match_strict_oracle(entries, seed):
 
     Same pool, same rng seed: the committed orientations, the congestion
     buffers, and the charged work units of the fast kernels (flip
-    records, clean-candidate skips, oracle deferrals included) must match
-    the strict per-cell walk's.
+    records and oracle deferrals included) must match the strict
+    per-cell walk's.
     """
     pool = [
         (net, Segment.make(Point(ax, ar), Point(bx, br)))
@@ -193,6 +201,73 @@ def test_flip_waves_match_strict_oracle(entries, seed):
     assert np.array_equal(fast[2], strict[2])
     assert fast[3] == strict[3]
     assert fast[4] == strict[4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_entries, st.integers(0, 2**31 - 1), st.data())
+def test_interleaved_mutations_and_waves_match_strict_oracle(entries, seed, data):
+    """Flip waves between arbitrary mutations are mode-independent.
+
+    A fast and a strict grid run the identical history: an initial
+    ``coarse_route``, then rounds of mutations (``add_route``,
+    ``remove_route``, a new external snapshot, clearing it) each
+    followed by one flip wave over every diagonal in a random order.
+    After every wave the orientations must agree; at the end the
+    congestion buffers, crossings and work units must too.  The fast
+    kernel reads state that the mutations changed under it, so any
+    per-candidate state surviving a mutation it should not would
+    diverge here.
+    """
+    pool = [
+        (net, Segment.make(Point(ax, ar), Point(bx, br)))
+        for net, ax, ar, bx, br in entries
+    ]
+    runs = []
+    for strict in (False, True):
+        grid = CoarseGrid(ncols=NCOLS, nrows=NROWS, col_width=8, strict=strict)
+        counter = TallyCounter()
+        committed = coarse_route(
+            pool, grid, np.random.default_rng(seed), passes=1, counter=counter
+        )
+        diag = [i for i, ps in enumerate(committed) if ps.route_low is not None]
+        runs.append((grid, committed, diag, counter))
+
+    extras = []  # routes added after the initial commit (shared objects)
+    for _ in range(data.draw(st.integers(1, 3))):
+        for op in data.draw(
+            st.lists(st.sampled_from(["add", "remove", "ext", "clear"]), max_size=4)
+        ):
+            if op == "add":
+                r = data.draw(segments)
+                extras.append(r)
+                for grid, _, _, _ in runs:
+                    grid.add_route(r)
+            elif op == "remove" and extras:
+                r = extras.pop()
+                for grid, _, _, _ in runs:
+                    grid.remove_route(r)
+            elif op == "ext":
+                feed, hus = _grid_ext(data.draw(external_cells))
+                for grid, _, _, _ in runs:
+                    grid.set_external(feed, hus)
+            elif op == "clear":
+                for grid, _, _, _ in runs:
+                    grid.set_external(None, None)
+        order = np.random.default_rng(
+            data.draw(st.integers(0, 2**31 - 1))
+        ).permutation(len(runs[0][2]))
+        for grid, committed, diag, counter in runs:
+            grid.flip_wave(committed, diag, order, counter)
+        fast_orients, strict_orients = (
+            [committed[i].orient for i in diag] for _, committed, diag, _ in runs
+        )
+        assert fast_orients == strict_orients
+
+    (fast, _, _, fast_counter), (strict, _, _, strict_counter) = runs
+    assert np.array_equal(fast.feed_demand, strict.feed_demand)
+    assert np.array_equal(fast.husage, strict.husage)
+    assert fast.all_crossings() == strict.all_crossings()
+    assert dict(fast_counter.units) == dict(strict_counter.units)
 
 
 @settings(max_examples=100)

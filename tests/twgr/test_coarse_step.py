@@ -116,3 +116,35 @@ def test_sync_once_mode():
         sync=lambda: calls.append(1), syncs_per_pass=0,
     )
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
+def test_flip_pass_stats_one_record_per_pass(strict):
+    # three diagonals, one flat and one locked segment; sync mode
+    # disables early termination, so every pass executes
+    pool = [
+        (0, Segment.make(Point(0, 0), Point(40, 4))),
+        (1, Segment.make(Point(8, 1), Point(64, 6))),
+        (2, Segment.make(Point(72, 2), Point(16, 7))),
+        (3, Segment.make(Point(0, 2), Point(40, 2))),
+        (4, Segment.make(Point(24, 0), Point(88, 5)), True),
+    ]
+    grid = CoarseGrid(ncols=12, nrows=8, col_width=8, strict=strict)
+    committed = coarse_route(
+        pool, grid, np.random.default_rng(3), passes=3,
+        sync=lambda: None, syncs_per_pass=2,
+    )
+    ndiag = sum(ps.route_low is not None for ps in committed)
+    assert ndiag == 3
+    assert grid.flip_pass_stats() == [{"clean": 0, "dirty": ndiag}] * 3
+
+
+def test_flip_pass_stats_stop_at_early_termination():
+    # an uncongested lone diagonal keeps its orientation: the first pass
+    # changes nothing, so no second pass runs
+    grid = make_grid()
+    coarse_route(
+        [(0, Segment.make(Point(0, 0), Point(40, 4)))],
+        grid, np.random.default_rng(0), passes=3,
+    )
+    assert grid.flip_pass_stats() == [{"clean": 0, "dirty": 1}]
