@@ -15,6 +15,7 @@ the row-wise algorithm, and row count bounds usable parallelism.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -95,78 +96,98 @@ class SyntheticSpec:
 
 
 def generate_circuit(spec: SyntheticSpec, seed: int = 0, validate: bool = True) -> Circuit:
-    """Generate a circuit from ``spec`` deterministically for a given seed."""
+    """Generate a circuit from ``spec`` deterministically for a given seed.
+
+    The output is a function of ``(spec, seed)`` alone, and that contract
+    is byte-exact: ``tests/circuits/test_generator_fingerprint.py`` pins a
+    SHA-256 of every cell, pin, net and row across the MCNC specs.  Two
+    things are therefore part of the output, not implementation details:
+
+    * the order and arguments of every call on the random generator —
+      reordering two draws, merging scalar draws into one vector draw, or
+      changing a bound changes every circuit downstream of that draw;
+    * the tie rule of the nearest-cell lookup: a sampled ``x`` at equal
+      distance from two cell centres picks the *left* cell.
+
+    Every route here starts from one of these circuits, so the loops below
+    do their scalar work in plain Python over lists: a NumPy call on a
+    scalar costs microseconds, and a build makes thousands.  Only the
+    draws themselves stay NumPy calls, bound to locals.
+    """
     rng = np.random.default_rng(seed)
     circuit = Circuit(spec.name)
+    n_rows = spec.rows
 
     # --- place cells: spread evenly over rows, pack left to right -------
-    per_row = _split_evenly(spec.cells, spec.rows, rng)
-    widths = rng.integers(spec.min_cell_width, spec.max_cell_width + 1, size=spec.cells)
-    cell_ids: List[int] = []
-    w_idx = 0
-    for r in range(spec.rows):
+    per_row = _split_evenly(spec.cells, n_rows, rng)
+    widths = rng.integers(spec.min_cell_width, spec.max_cell_width + 1, size=spec.cells).tolist()
+    for _ in range(n_rows):
         circuit.add_row()
+    # Per row, its cells' centres and ids left to right.  A row is packed
+    # in id order, so its centres never decrease and the lists are sorted
+    # as built.
+    row_centers: List[List[float]] = [[] for _ in range(n_rows)]
+    row_cells: List[List[int]] = [[] for _ in range(n_rows)]
+    cell_ids: List[int] = []
+    add_cell = circuit.add_cell
+    w_idx = 0
     for r, count in enumerate(per_row):
+        centers, ids = row_centers[r], row_cells[r]
         x = 0
-        for _ in range(count):
-            w = int(widths[w_idx])
-            w_idx += 1
-            cell_ids.append(circuit.add_cell(r, x, w).id)
+        for w in widths[w_idx:w_idx + count]:
+            cid = add_cell(r, x, w).id
+            cell_ids.append(cid)
+            centers.append(x + w / 2)
+            ids.append(cid)
             x += w
+        w_idx += count
     core_width = circuit.max_row_width()
 
-    # Cell centers for locality-driven sampling.
-    centers_x = np.array([circuit.cells[c].x + circuit.cells[c].width / 2 for c in cell_ids])
-    centers_row = np.array([circuit.cells[c].row for c in cell_ids])
-    order = np.lexsort((centers_x, centers_row))
-    # index arrays sorted by (row, x) to find nearest cells quickly
-    sorted_rows = centers_row[order]
-    sorted_x = centers_x[order]
-    row_starts = np.searchsorted(sorted_rows, np.arange(spec.rows), side="left")
-    row_ends = np.searchsorted(sorted_rows, np.arange(spec.rows), side="right")
-
     def nearest_cell(x: float, row: int) -> int:
-        """Cell in ``row`` whose center is closest to ``x``."""
-        lo, hi = row_starts[row], row_ends[row]
-        if lo == hi:  # empty row: walk outward
-            for d in range(1, spec.rows):
+        """Cell in ``row`` whose center is closest to ``x`` (the left one
+        on a tie)."""
+        xs = row_centers[row]
+        if not xs:  # empty row: walk outward
+            for d in range(1, n_rows):
                 for rr in (row - d, row + d):
-                    if 0 <= rr < spec.rows and row_starts[rr] != row_ends[rr]:
+                    if 0 <= rr < n_rows and row_centers[rr]:
                         return nearest_cell(x, rr)
             raise RuntimeError("no cells placed")
-        i = np.searchsorted(sorted_x[lo:hi], x) + lo
-        cands = [j for j in (i - 1, i) if lo <= j < hi]
-        best = min(cands, key=lambda j: abs(sorted_x[j] - x))
-        return cell_ids[order[best]]
+        i = bisect_left(xs, x)
+        # xs[i - 1] < x <= xs[i]: both distances are exact differences,
+        # and the left neighbour wins an equal one
+        if i == len(xs) or (i and x - xs[i - 1] <= xs[i] - x):
+            i -= 1
+        return row_cells[row][i]
 
     # --- regular nets ----------------------------------------------------
     n_regular = spec.nets - len(spec.clock_net_degrees)
     if n_regular < 0:
         raise ValueError("more clock nets than total nets")
     extra = np.clip(rng.geometric(1.0 / max(spec.mean_degree - 1.0, 1e-9), size=n_regular) - 1, 0, 64)
-    degrees = 2 + extra
-    is_global = rng.random(n_regular) < spec.global_net_fraction
+    degrees = (2 + extra).tolist()
+    is_global = (rng.random(n_regular) < spec.global_net_fraction).tolist()
     row_sigma = max(0.3, spec.row_locality)
     x_sigma = max(2.0, spec.x_locality * core_width)
+    max_row, max_x = n_rows - 1, core_width - 1
+    integers, uniform, normal = rng.integers, rng.uniform, rng.normal
+    add_net = circuit.add_net
 
-    for i in range(n_regular):
-        deg = int(degrees[i])
-        net = circuit.add_net()
+    for deg, spread in zip(degrees, is_global):
+        net = add_net()
         chosen: set[int] = set()
-        if is_global[i]:
-            anchor_row = None
-        else:
-            anchor_row = int(rng.integers(0, spec.rows))
-            anchor_x = float(rng.uniform(0, core_width))
+        if not spread:
+            anchor_row = int(integers(0, n_rows))
+            anchor_x = uniform(0, core_width)
         attempts = 0
         while len(chosen) < deg and attempts < deg * 20:
             attempts += 1
-            if anchor_row is None:
-                row = int(rng.integers(0, spec.rows))
-                x = float(rng.uniform(0, core_width))
+            if spread:
+                row = int(integers(0, n_rows))
+                x = uniform(0, core_width)
             else:
-                row = int(np.clip(round(anchor_row + rng.normal(0, row_sigma)), 0, spec.rows - 1))
-                x = float(np.clip(anchor_x + rng.normal(0, x_sigma), 0, core_width - 1))
+                row = min(max(round(anchor_row + normal(0, row_sigma)), 0), max_row)
+                x = min(max(anchor_x + normal(0, x_sigma), 0), max_x)
             chosen.add(nearest_cell(x, row))
         if len(chosen) < 2:
             # degenerate corner (tiny circuit): grab any second cell
@@ -178,11 +199,11 @@ def generate_circuit(spec: SyntheticSpec, seed: int = 0, validate: bool = True) 
 
     # --- clock-like huge nets --------------------------------------------
     for k, deg in enumerate(spec.clock_net_degrees):
-        net = circuit.add_net(f"clk{k}")
+        net = add_net(f"clk{k}")
         deg = min(deg, len(cell_ids))
-        chosen_idx = rng.choice(len(cell_ids), size=deg, replace=False)
+        chosen_idx = rng.choice(len(cell_ids), size=deg, replace=False).tolist()
         _attach_pins(
-            circuit, net.id, sorted(cell_ids[int(j)] for j in chosen_idx), rng, spec.equiv_prob
+            circuit, net.id, sorted(cell_ids[j] for j in chosen_idx), rng, spec.equiv_prob
         )
 
     if validate:
@@ -197,19 +218,17 @@ def _attach_pins(
     rng: np.random.Generator,
     equiv_prob: float,
 ) -> None:
+    """Pin ``net_id`` to each of ``cells``: three draws per pin, in the
+    order offset, side, equivalence."""
+    all_cells = circuit.cells
+    add_pin = circuit.add_pin
+    integers, random = rng.integers, rng.random
+    cell_kind = PinKind.CELL
     for cid in cells:
-        cell = circuit.cells[cid]
-        offset = int(rng.integers(0, cell.width))
-        side = 1 if rng.random() < 0.5 else -1
-        has_equiv = bool(rng.random() < equiv_prob)
-        circuit.add_pin(
-            net=net_id,
-            cell=cid,
-            offset=offset,
-            side=side,
-            has_equiv=has_equiv,
-            kind=PinKind.CELL,
-        )
+        offset = int(integers(0, all_cells[cid].width))
+        side = 1 if random() < 0.5 else -1
+        has_equiv = bool(random() < equiv_prob)
+        add_pin(net_id, cid, offset, side, has_equiv, cell_kind)
 
 
 def _split_evenly(total: int, parts: int, rng: np.random.Generator) -> List[int]:

@@ -58,6 +58,10 @@ def validate_circuit(circuit: Circuit, allow_unbound_feeds: bool = False) -> Non
         missing = set(range(len(circuit.cells))) - seen_cells
         errors.append(f"cells not present in any row: {sorted(missing)[:10]}")
 
+    # Membership as sets, built once: a list scan per pin costs
+    # O(sum of degree^2), which a 2,300-pin clock net makes dominant.
+    cell_pins = [set(cell.pins) for cell in circuit.cells]
+    net_pins = [set(net.pins) for net in circuit.nets]
     for pin in circuit.pins:
         if pin.kind is PinKind.FAKE:
             if pin.cell != -1:
@@ -67,7 +71,7 @@ def validate_circuit(circuit: Circuit, allow_unbound_feeds: bool = False) -> Non
                 errors.append(f"pin {pin.id} has invalid cell {pin.cell}")
                 continue
             cell = circuit.cells[pin.cell]
-            if pin.id not in cell.pins:
+            if pin.id not in cell_pins[pin.cell]:
                 errors.append(f"pin {pin.id} missing from cell {pin.cell} pin list")
             if pin.row != cell.row:
                 errors.append(f"pin {pin.id} row {pin.row} != cell row {cell.row}")
@@ -81,7 +85,7 @@ def validate_circuit(circuit: Circuit, allow_unbound_feeds: bool = False) -> Non
         if pin.net >= 0:
             if pin.net >= len(circuit.nets):
                 errors.append(f"pin {pin.id} references missing net {pin.net}")
-            elif pin.id not in circuit.nets[pin.net].pins:
+            elif pin.id not in net_pins[pin.net]:
                 errors.append(f"pin {pin.id} not listed by its net {pin.net}")
         elif pin.kind is PinKind.FEED:
             if not allow_unbound_feeds:
@@ -89,10 +93,10 @@ def validate_circuit(circuit: Circuit, allow_unbound_feeds: bool = False) -> Non
         else:
             errors.append(f"pin {pin.id} has no net")
 
-    for net in circuit.nets:
+    for net, members in zip(circuit.nets, net_pins):
         if len(net.pins) < 2:
             errors.append(f"net {net.id} ({net.name}) has {len(net.pins)} pin(s)")
-        if len(set(net.pins)) != len(net.pins):
+        if len(members) != len(net.pins):
             errors.append(f"net {net.id} lists duplicate pins")
         for pid in net.pins:
             if not 0 <= pid < len(circuit.pins):

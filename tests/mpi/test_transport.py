@@ -25,6 +25,7 @@ from repro.mpi.transports import (
 )
 from repro.parallel.driver import route_parallel
 from repro.twgr.config import RouterConfig
+from tests.circuits.fingerprint import circuit_fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,20 @@ def test_routing_parity_across_transports(algorithm):
     # the modeled logical clocks must agree exactly, transport or not
     assert out.result.model_time == ref.result.model_time
     assert out.timing.rank_times == ref.timing.rank_times
+
+
+@pytest.mark.parametrize("name", ["primary1", "struct"])
+def test_multiprocess_route_leaves_circuit_unchanged(name):
+    # the parent routes the serial baseline in-process and ships the
+    # circuit to forked ranks: neither may touch the caller's object
+    circuit = mcnc.generate(name, scale=0.2, seed=1)
+    before = circuit_fingerprint(circuit), sorted(vars(circuit))
+    for algorithm in ("rowwise", "netwise", "hybrid"):
+        route_parallel(
+            circuit, algorithm=algorithm, nprocs=2, config=RouterConfig(seed=1),
+            transport="multiprocess",
+        )
+        assert (circuit_fingerprint(circuit), sorted(vars(circuit))) == before
 
 
 def test_multiprocess_records_measured_times():
