@@ -2,16 +2,9 @@
 
 Lets experiment sweeps be archived and compared across code versions:
 ``results_reference.txt`` holds the human-readable artifacts; these
-records hold the machine-readable ones.
-
-The committed benchmark files (``BENCH_trajectory.json``,
-``BENCH_kernels.json``) are long-term perf memory consumed by the CI
-gate and the trend engine, so they load through versioned fail-fast
-validators here (:func:`load_trajectory`, :func:`load_kernels`) rather
-than ad-hoc dict access: a malformed record raises
-:class:`BenchRecordError` naming the file, the record, and the missing
-or mistyped field instead of surfacing as a ``KeyError`` three layers
-deep in a gate.
+records hold the machine-readable ones.  The sweep engine's run
+records (:mod:`repro.exec.record`) embed the same result and timing
+dicts.
 """
 
 from __future__ import annotations
@@ -22,141 +15,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.perfmodel.report import TimingReport
 from repro.twgr.result import RoutingResult
-
-#: Schema version of ``BENCH_trajectory.json`` this loader understands.
-TRAJECTORY_SCHEMA = 1
-#: Schema version of ``BENCH_kernels.json`` this loader understands.
-KERNELS_SCHEMA = 1
-
-
-class BenchRecordError(ValueError):
-    """A committed benchmark file failed schema validation.
-
-    The message always names the offending file, record, and field so a
-    red CI gate points straight at the bad data.
-    """
-
-
-def _require(cond: bool, where: str, msg: str) -> None:
-    if not cond:
-        raise BenchRecordError(f"{where}: {msg}")
-
-
-def _numeric(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _record_name(rec: Any, idx: int) -> str:
-    commit = rec.get("commit") if isinstance(rec, dict) else None
-    backend = rec.get("backend") if isinstance(rec, dict) else None
-    label = f"record[{idx}]"
-    if isinstance(commit, str) and commit:
-        label += f" (commit {commit[:12]}"
-        if isinstance(backend, str) and backend:
-            label += f", backend {backend}"
-        label += ")"
-    return label
-
-
-def validate_trajectory_record(rec: Any, where: str) -> None:
-    """Fail-fast check of one ``BENCH_trajectory.json`` record."""
-    _require(isinstance(rec, dict), where, "record is not an object")
-    _require(rec.get("schema") == TRAJECTORY_SCHEMA, where,
-             f"schema {rec.get('schema')!r} != {TRAJECTORY_SCHEMA}")
-    _require(isinstance(rec.get("commit"), str) and rec["commit"], where,
-             "missing or empty 'commit'")
-    _require(isinstance(rec.get("backend", ""), str), where,
-             "'backend' must be a string")
-    _require(isinstance(rec.get("transport", ""), str), where,
-             "'transport' must be a string")
-    for field in ("scale", "seed", "rounds"):
-        _require(_numeric(rec.get(field)), where,
-                 f"missing or non-numeric {field!r}")
-    kernels = rec.get("kernels_mean_s")
-    _require(isinstance(kernels, dict), where,
-             "missing 'kernels_mean_s' object")
-    for name, mean in kernels.items():
-        _require(_numeric(mean), where,
-                 f"kernels_mean_s[{name!r}] is non-numeric")
-    circuits = rec.get("circuits")
-    _require(isinstance(circuits, dict) and circuits, where,
-             "missing or empty 'circuits' object")
-    for name, circ in circuits.items():
-        cwhere = f"{where} circuit {name!r}"
-        _require(isinstance(circ, dict), cwhere, "entry is not an object")
-        _require(_numeric(circ.get("route_mean_s")), cwhere,
-                 "missing or non-numeric 'route_mean_s'")
-        dirty = circ.get("dirty_frac")
-        _require(dirty is None or _numeric(dirty), cwhere,
-                 "'dirty_frac' must be numeric or null")
-    speedups = rec.get("speedups")
-    if speedups is not None:
-        swhere = f"{where} 'speedups'"
-        _require(isinstance(speedups, dict), swhere, "must be an object")
-        _require(_numeric(speedups.get("nprocs")), swhere,
-                 "missing or non-numeric 'nprocs'")
-        by_algo = speedups.get("by_algorithm")
-        _require(isinstance(by_algo, dict) and by_algo, swhere,
-                 "missing or empty 'by_algorithm' object")
-        for algo, entry in by_algo.items():
-            awhere = f"{swhere} algorithm {algo!r}"
-            _require(isinstance(entry, dict), awhere, "entry is not an object")
-            measured = entry.get("measured")
-            _require(measured is None or _numeric(measured), awhere,
-                     "'measured' must be numeric or null")
-
-
-def load_trajectory(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load + validate ``BENCH_trajectory.json``; records oldest-first.
-
-    Raises :class:`BenchRecordError` (with the offending record named)
-    on any malformed record, and ``FileNotFoundError`` when missing.
-    """
-    path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    _require(isinstance(payload, dict), str(path), "top level is not an object")
-    _require(payload.get("schema") == TRAJECTORY_SCHEMA, str(path),
-             f"file schema {payload.get('schema')!r} != {TRAJECTORY_SCHEMA}")
-    records = payload.get("records")
-    _require(isinstance(records, list), str(path), "missing 'records' list")
-    for idx, rec in enumerate(records):
-        validate_trajectory_record(rec, f"{path}: {_record_name(rec, idx)}")
-    return records
-
-
-def load_kernels(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load + validate a ``BENCH_kernels.json`` report.
-
-    Checks the per-kernel stat blocks (numeric ``mean_s``) and the
-    per-circuit route timings the regression gate consumes; raises
-    :class:`BenchRecordError` naming the offending entry.
-    """
-    path = Path(path)
-    report = json.loads(path.read_text(encoding="utf-8"))
-    where = str(path)
-    _require(isinstance(report, dict), where, "top level is not an object")
-    schema = report.get("schema", KERNELS_SCHEMA)
-    _require(schema == KERNELS_SCHEMA, where,
-             f"file schema {schema!r} != {KERNELS_SCHEMA}")
-    _require(isinstance(report.get("commit"), str) and report["commit"], where,
-             "missing or empty 'commit'")
-    kernels = report.get("kernels")
-    _require(isinstance(kernels, dict), where, "missing 'kernels' object")
-    for name, stats in kernels.items():
-        kwhere = f"{where}: kernel {name!r}"
-        _require(isinstance(stats, dict), kwhere, "stats are not an object")
-        _require(_numeric(stats.get("mean_s")), kwhere,
-                 "missing or non-numeric 'mean_s'")
-    circuits = report.get("circuits")
-    _require(isinstance(circuits, dict), where, "missing 'circuits' object")
-    for name, circ in circuits.items():
-        cwhere = f"{where}: circuit {name!r}"
-        _require(isinstance(circ, dict), cwhere, "entry is not an object")
-        route = circ.get("route")
-        _require(isinstance(route, dict), cwhere, "missing 'route' object")
-        _require(_numeric(route.get("mean_s")), cwhere,
-                 "missing or non-numeric route 'mean_s'")
-    return report
 
 
 def result_to_dict(result: RoutingResult) -> Dict[str, Any]:

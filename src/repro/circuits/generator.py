@@ -24,6 +24,9 @@ import numpy as np
 from repro.circuits.model import Circuit, PinKind
 from repro.circuits.validate import validate_circuit
 
+#: Largest ``scale`` :meth:`SyntheticSpec.scaled` accepts: specs only shrink.
+MAX_SCALE = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class SyntheticSpec:
@@ -73,8 +76,8 @@ class SyntheticSpec:
         experiments measure while keeping pure-Python runtimes tractable;
         ``tests/integration/test_scale_stability.py`` checks this.
         """
-        if not 0 < scale <= 1:
-            raise ValueError("scale must be in (0, 1]")
+        if not 0 < scale <= MAX_SCALE:
+            raise ValueError(f"scale must be in (0, {MAX_SCALE:g}]")
         if scale == 1.0:
             return self
         return SyntheticSpec(

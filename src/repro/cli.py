@@ -28,11 +28,6 @@ Commands
     algorithms x nprocs x fault plans) through the
     fault-containing sweep engine; every record is stamped with its
     spec coordinates.
-``trends``
-    Perf-trajectory analytics over the committed benchmark records:
-    per-kernel/per-circuit trend tables, ``--markdown`` for the
-    EXPERIMENTS.md block, ``--json``/``--html`` reports, and ``--gate``
-    for the trend-aware regression check.
 ``metrics``
     Export a MetricsRegistry snapshot in Prometheus text exposition
     format (``export`` routes a small point first so the registry has
@@ -65,6 +60,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.analysis.records import save_results
 from repro.circuits import mcnc
+from repro.circuits.generator import MAX_SCALE
 from repro.mpi.transports import TRANSPORT_NAMES
 from repro.perfmodel.machine import MACHINES, SPARCCENTER_1000
 from repro.twgr.config import RouterConfig
@@ -108,9 +104,36 @@ def configure_logging(quiet: bool = False, verbose: bool = False) -> None:
         root.addHandler(handler)
 
 
+def _circuit(name: str) -> str:
+    """argparse type: a benchmark name or alias (see `circuits`)."""
+    try:
+        mcnc.spec(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return name
+
+
+def _scale(text: str) -> float:
+    """argparse type: a size scale factor the generator accepts."""
+    try:
+        scale = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < scale <= MAX_SCALE:
+        raise argparse.ArgumentTypeError(
+            f"scale must be in (0, {MAX_SCALE:g}], got {text}"
+        )
+    return scale
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--circuit", default="primary2", help="benchmark name (see `circuits`)")
-    parser.add_argument("--scale", type=float, default=0.1, help="size scale factor (default 0.1)")
+    parser.add_argument(
+        "--circuit", type=_circuit, default="primary2",
+        help="benchmark name (see `circuits`)",
+    )
+    parser.add_argument(
+        "--scale", type=_scale, default=0.1, help="size scale factor (default 0.1)"
+    )
     parser.add_argument("--seed", type=int, default=1, help="circuit + router seed")
     parser.add_argument(
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES),
@@ -202,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
             "ablation-partitions", "ablation-alpha", "ablation-sync",
         ),
     )
-    p_art.add_argument("--scale", type=float, default=0.1)
+    p_art.add_argument("--scale", type=_scale, default=0.1)
     p_art.add_argument("--seed", type=int, default=1)
     _add_engine(p_art)
 
@@ -234,13 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile", help="per-step time/ops/bytes profile of one routed circuit"
     )
-    p_prof.add_argument("circuit", help="benchmark name (see `circuits`)")
+    p_prof.add_argument(
+        "circuit", type=_circuit, help="benchmark name (see `circuits`)"
+    )
     p_prof.add_argument(
         "--algorithm", default="serial",
         choices=("serial", "rowwise", "netwise", "hybrid"),
     )
     p_prof.add_argument("--nprocs", type=int, default=8)
-    p_prof.add_argument("--scale", type=float, default=0.1)
+    p_prof.add_argument("--scale", type=_scale, default=0.1)
     p_prof.add_argument("--seed", type=int, default=1)
     p_prof.add_argument(
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES)
@@ -310,45 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine(p_exp)
 
-    p_trends = sub.add_parser(
-        "trends", help="perf-trajectory analytics over committed benchmark records"
-    )
-    p_trends.add_argument(
-        "--trajectory", default="BENCH_trajectory.json", metavar="PATH",
-        help="trajectory file (default BENCH_trajectory.json)",
-    )
-    p_trends.add_argument(
-        "--kernels", default="BENCH_kernels.json", metavar="PATH",
-        help="kernels report for per-call divisors (default BENCH_kernels.json)",
-    )
-    p_trends.add_argument(
-        "--sweep", default="BENCH_sweep.json", metavar="PATH",
-        help="sweep report for the speedup-vs-paper table (default BENCH_sweep.json)",
-    )
-    p_trends.add_argument(
-        "--markdown", action="store_true",
-        help="print the EXPERIMENTS.md trend block instead of text tables",
-    )
-    p_trends.add_argument(
-        "--json", metavar="PATH", help="write the trend report as JSON"
-    )
-    p_trends.add_argument(
-        "--html", metavar="PATH", help="write the static HTML/SVG report"
-    )
-    p_trends.add_argument(
-        "--gate", action="store_true",
-        help="apply the trend-aware regression gate; exit 1 on culprits",
-    )
-    p_trends.add_argument(
-        "--kernel-threshold", type=float, default=None, metavar="F",
-        help="per-kernel adjacent-pair threshold (default 0.30; host-noise "
-        "calibrated)",
-    )
-    p_trends.add_argument(
-        "--route-threshold", type=float, default=None, metavar="F",
-        help="end-to-end route_mean_s threshold (default 0.05)",
-    )
-
     p_met = sub.add_parser(
         "metrics", help="export MetricsRegistry snapshots (Prometheus text format)"
     )
@@ -358,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a saved snapshot file instead of routing a live point",
     )
     p_met.add_argument(
-        "--circuit", default="primary1",
+        "--circuit", type=_circuit, default="primary1",
         help="circuit routed to populate the live registry (default primary1)",
     )
-    p_met.add_argument("--scale", type=float, default=0.1)
+    p_met.add_argument("--scale", type=_scale, default=0.1)
     p_met.add_argument("--seed", type=int, default=1)
     p_met.add_argument(
         "--prefix", default="repro",
@@ -992,65 +978,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return outcome.exit_code
 
 
-def cmd_trends(args: argparse.Namespace) -> int:
-    """Render perf-trajectory analytics; optionally apply the gate."""
-    import json as _json
-
-    from repro.analysis.records import BenchRecordError
-    from repro.analysis import trends
-
-    try:
-        records = trends.load_trajectory(args.trajectory)
-    except FileNotFoundError:
-        print(f"no trajectory file at {args.trajectory}")
-        return 1
-    except BenchRecordError as exc:
-        print(f"trajectory error: {exc}")
-        return 1
-    report = trends.build_trend_report(records)
-
-    kernels_report = None
-    try:
-        kernels_report = trends.load_kernels(args.kernels)
-    except FileNotFoundError:
-        log.info("no kernels report at %s; per-call table skipped", args.kernels)
-    except BenchRecordError as exc:
-        print(f"kernels error: {exc}")
-        return 1
-
-    problems = None
-    if args.gate:
-        kwargs = {}
-        if args.kernel_threshold is not None:
-            kwargs["kernel_threshold"] = args.kernel_threshold
-        if args.route_threshold is not None:
-            kwargs["route_threshold"] = args.route_threshold
-        problems, _culprits = trends.gate_trends(report, **kwargs)
-
-    if args.markdown:
-        print(trends.render_markdown(report, records, kernels_report))
-    else:
-        print(trends.render_text(report, problems))
-        try:
-            quality = trends.load_sweep_quality(args.sweep)
-        except FileNotFoundError:
-            quality = {}
-        if quality:
-            print()
-            print(trends.speedup_table(quality, records=records).render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(trends.report_to_json(report), fh, indent=2)
-        print(f"trend report written to {args.json}")
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(trends.render_html(report))
-        print(f"HTML report written to {args.html}")
-    if problems:
-        return 1
-    return 0
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Export a metrics snapshot in Prometheus text exposition format."""
     import json as _json
@@ -1131,7 +1058,6 @@ COMMANDS = {
     "stats": cmd_stats,
     "chaos": cmd_chaos,
     "experiment": cmd_experiment,
-    "trends": cmd_trends,
     "metrics": cmd_metrics,
     "serve": cmd_serve,
 }

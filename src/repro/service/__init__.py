@@ -18,9 +18,10 @@ Layers
   cache's content address, and degraded (rather than dropped) failure
   responses;
 * :mod:`repro.service.httpd` — the asyncio socket HTTP front-end plus
-  a thread host for tests, the load generator, and chaos scenarios;
+  a thread host for tests, the benchmark's service workload, and chaos
+  scenarios;
 * :mod:`repro.service.client` — minimal blocking and async HTTP
-  clients used by the CLI, the tests, and ``benchmarks/load_test.py``.
+  clients used by the CLI, the tests, and the benchmark.
 
 Coalescing semantics
 --------------------

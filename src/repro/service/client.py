@@ -5,8 +5,8 @@ Two flavours, one surface:
 * :class:`ServiceClient` — blocking, built on ``http.client``.  Used by
   the CLI, the tests, and anything that just wants an answer.
 * :class:`AsyncServiceClient` — asyncio streams, one connection per
-  client, keep-alive reuse.  The load generator runs hundreds of these
-  concurrently on one loop without a thread per connection.
+  client, keep-alive reuse.  Many of these run concurrently on one
+  loop without a thread per connection.
 
 Both expose the same convenience calls (``route``, ``healthz``,
 ``stats``, ``metrics_text``, ``shutdown``) returning
@@ -124,8 +124,8 @@ class AsyncServiceClient:
     """One keep-alive connection on the current event loop.
 
     Not safe for concurrent requests on the *same* client (HTTP/1.1 is
-    serial per connection) — the load generator gives each simulated
-    client its own instance, which is exactly the closed-loop model.
+    serial per connection) — give each concurrent caller its own
+    instance, which is exactly the closed-loop client model.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 630.0) -> None:

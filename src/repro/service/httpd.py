@@ -31,8 +31,8 @@ Hosting
 :func:`serve_forever` runs the server on the current event loop until
 cancelled or shut down (the ``repro serve`` path).  :class:`ServiceHost`
 runs the same server on a background thread with its own loop — the
-tests, the load generator's ``--inprocess`` mode, and the chaos
-scenario boot real sockets without managing a second process.
+tests, the benchmark's service workload, and the chaos scenario boot
+real sockets without managing a second process.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.circuits.generator import MAX_SCALE
 from repro.exec.engine import SweepPoint
 from repro.twgr.config import RouterConfig
 
@@ -90,9 +91,9 @@ def point_from_request(data: Any) -> SweepPoint:
         )
     seed = _req_int(data, "seed", 1)
     scale = _req_float(data, "scale", 0.1)
-    if not 0.0 < scale <= 10.0:
+    if not 0.0 < scale <= MAX_SCALE:
         raise ServiceRequestError(
-            f"'scale' must be in (0, 10], got {scale}"
+            f"'scale' must be in (0, {MAX_SCALE:g}], got {scale}"
         )
     point = SweepPoint(
         circuit=_req_str(data, "circuit", ""),
@@ -117,7 +118,8 @@ def point_from_request(data: Any) -> SweepPoint:
 
 
 def request_from_point(point: SweepPoint) -> Dict[str, Any]:
-    """The JSON body that round-trips to ``point`` (load-generator use)."""
+    """The JSON body that round-trips to ``point`` (inverse of
+    :func:`point_from_request`)."""
     body: Dict[str, Any] = {
         "circuit": point.circuit,
         "algorithm": point.algorithm,

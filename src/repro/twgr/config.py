@@ -87,6 +87,6 @@ class RouterConfig:
 
     def resolved_backend(self) -> str:
         """The congestion core a run under this config uses — always
-        ``"python"``, the only one.  Kept as the stamp of benchmark and
-        trajectory records, whose per-backend chains it continues."""
+        ``"python"``, the only one.  Kept as the stamp of the benchmark's
+        records (``routebench/``)."""
         return "python"

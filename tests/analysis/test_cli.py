@@ -77,6 +77,35 @@ def test_bad_artifact_rejected():
         build_parser().parse_args(["artifact", "table9"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("route", "--circuit", "nosuch"), "unknown benchmark 'nosuch'"),
+        (("profile", "nosuch"), "unknown benchmark 'nosuch'"),
+        (("route", "--scale", "0"), "scale must be in (0, 1], got 0"),
+        (("route", "--scale", "-1"), "scale must be in (0, 1], got -1"),
+        (("route", "--scale", "2"), "scale must be in (0, 1], got 2"),
+        (("compare", "--scale", "abc"), "not a number: 'abc'"),
+        (("metrics", "export", "--scale", "0"), "scale must be in (0, 1]"),
+    ],
+)
+def test_bad_circuit_or_scale_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # usage line(s), then one error line naming the problem
+    last = err.rstrip("\n").splitlines()[-1]
+    assert last.startswith("repro ") and ": error: argument " in last
+    assert message in last
+
+
+def test_circuit_alias_still_accepted():
+    args = build_parser().parse_args(["route", "--circuit", "primary"])
+    assert args.circuit == "primary"
+
+
 def test_stats(capsys):
     code, out = run(
         capsys, "stats", "--circuit", "primary1", "--scale", "0.06", "--top", "2",
@@ -292,62 +321,6 @@ def test_profile_prints_histogram_percentiles(capsys):
     # the profile command renders the histogram summary table
     assert "engine.point_host_ms" in out
     assert "p50" in out and "p95" in out and "p99" in out
-
-
-def _trend_args():
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parent.parent.parent
-    return (
-        "--trajectory", str(repo / "BENCH_trajectory.json"),
-        "--kernels", str(repo / "BENCH_kernels.json"),
-        "--sweep", str(repo / "BENCH_sweep.json"),
-    )
-
-
-def test_trends_text_and_gate(capsys):
-    code, out = run(capsys, "trends", "--gate", *_trend_args())
-    assert code == 0
-    assert "backend numpy" in out
-    assert "kernel:batched_eval" in out
-    assert "trend gate: OK" in out
-    assert "speedup vs paper" in out
-
-
-def test_trends_gate_fails_at_tight_threshold(capsys):
-    code, out = run(
-        capsys, "trends", "--gate", "--kernel-threshold", "0.05",
-        *_trend_args(),
-    )
-    assert code == 1
-    assert "trend gate: FAILED" in out
-    assert "regressed" in out
-
-
-def test_trends_markdown_json_html(capsys, tmp_path):
-    import json
-
-    json_path = tmp_path / "trends.json"
-    html_path = tmp_path / "trends.html"
-    code, out = run(
-        capsys, "trends", "--markdown", "--json", str(json_path),
-        "--html", str(html_path), *_trend_args(),
-    )
-    assert code == 0
-    assert "repro-trends:begin" in out
-    assert "| metric |" in out
-    payload = json.loads(json_path.read_text())
-    assert "numpy" in payload["backends"]
-    html = html_path.read_text()
-    assert html.startswith("<!DOCTYPE html>") and "<svg" in html
-
-
-def test_trends_missing_trajectory_fails_cleanly(capsys, tmp_path):
-    code, out = run(
-        capsys, "trends", "--trajectory", str(tmp_path / "nope.json"),
-    )
-    assert code == 1
-    assert "nope.json" in out
 
 
 def test_metrics_export_from_snapshot(capsys, tmp_path):

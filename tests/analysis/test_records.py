@@ -3,12 +3,8 @@ import json
 import pytest
 
 from repro.analysis.records import (
-    BenchRecordError,
-    TRAJECTORY_SCHEMA,
     compare_results,
-    load_kernels,
     load_results,
-    load_trajectory,
     result_from_dict,
     result_to_dict,
     save_results,
@@ -80,102 +76,3 @@ def test_compare_results(result):
     cmp = compare_results(result, run.result)
     assert cmp["tracks"] == pytest.approx(run.result.total_tracks / result.total_tracks)
     assert "same_channels" in cmp
-
-
-# ---------------------------------------------------------------------------
-# versioned fail-fast loaders for the committed benchmark files
-# ---------------------------------------------------------------------------
-
-def _valid_trajectory_record(**over):
-    rec = {
-        "schema": TRAJECTORY_SCHEMA,
-        "commit": "abc123def456",
-        "backend": "numpy",
-        "scale": 1.0,
-        "seed": 1,
-        "rounds": 5,
-        "kernels_mean_s": {"batched_eval": 0.005},
-        "circuits": {
-            "primary1": {"route_mean_s": 0.05, "dirty_frac": 0.84},
-        },
-    }
-    rec.update(over)
-    return rec
-
-
-def _write_trajectory(tmp_path, records):
-    path = tmp_path / "traj.json"
-    path.write_text(json.dumps({"schema": TRAJECTORY_SCHEMA, "records": records}))
-    return path
-
-
-def test_load_trajectory_accepts_valid_records(tmp_path):
-    path = _write_trajectory(tmp_path, [_valid_trajectory_record()])
-    records = load_trajectory(path)
-    assert len(records) == 1
-    assert records[0]["backend"] == "numpy"
-
-
-def test_load_trajectory_names_the_offending_record(tmp_path):
-    bad = _valid_trajectory_record(kernels_mean_s={"batched_eval": "fast"})
-    path = _write_trajectory(
-        tmp_path, [_valid_trajectory_record(commit="aaa111"), bad]
-    )
-    with pytest.raises(BenchRecordError) as exc:
-        load_trajectory(path)
-    msg = str(exc.value)
-    assert "record[1]" in msg  # which record
-    assert "abc123def456" in msg  # its commit
-    assert "batched_eval" in msg  # which field
-
-
-def test_load_trajectory_rejects_wrong_schema(tmp_path):
-    path = _write_trajectory(tmp_path, [_valid_trajectory_record(schema=99)])
-    with pytest.raises(BenchRecordError, match="schema"):
-        load_trajectory(path)
-
-
-def test_load_trajectory_rejects_missing_route_mean(tmp_path):
-    bad = _valid_trajectory_record(circuits={"primary1": {"dirty_frac": 0.5}})
-    path = _write_trajectory(tmp_path, [bad])
-    with pytest.raises(BenchRecordError, match="route_mean_s"):
-        load_trajectory(path)
-
-
-def test_load_trajectory_rejects_boolean_scale(tmp_path):
-    # bool is an int subclass; the validator must not accept it as numeric
-    path = _write_trajectory(tmp_path, [_valid_trajectory_record(scale=True)])
-    with pytest.raises(BenchRecordError, match="scale"):
-        load_trajectory(path)
-
-
-def test_load_trajectory_missing_file_raises_file_not_found(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_trajectory(tmp_path / "nope.json")
-
-
-def test_load_kernels_validates_and_names_culprit(tmp_path):
-    path = tmp_path / "kernels.json"
-    good = {
-        "schema": 1,
-        "commit": "abc123",
-        "kernels": {"eval_cost": {"mean_s": 0.001}},
-        "circuits": {"primary1": {"route": {"mean_s": 0.05}}},
-    }
-    path.write_text(json.dumps(good))
-    assert load_kernels(path)["commit"] == "abc123"
-
-    good["kernels"]["eval_cost"] = {"stddev_s": 0.1}  # mean_s gone
-    path.write_text(json.dumps(good))
-    with pytest.raises(BenchRecordError) as exc:
-        load_kernels(path)
-    assert "eval_cost" in str(exc.value)
-    assert "mean_s" in str(exc.value)
-
-
-def test_committed_bench_files_pass_the_loaders():
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parent.parent.parent
-    assert load_trajectory(repo / "BENCH_trajectory.json")
-    assert load_kernels(repo / "BENCH_kernels.json")["kernels"]

@@ -29,20 +29,11 @@ def _load_gate():
 @pytest.mark.smoke
 def test_step_times_match_committed_reference(capsys):
     gate = _load_gate()
-    code = gate.main(["--skip-bench-files"])
+    code = gate.main([])
     out = capsys.readouterr().out
     assert code == 0, f"regression gate failed:\n{out}"
     # deterministic modeled seconds: every ratio is exactly 1.0
     assert "REGRESSED" not in out
-
-
-@pytest.mark.smoke
-def test_committed_bench_records_are_sound(capsys):
-    gate = _load_gate()
-    problems = gate.check_bench_records(
-        REPO / "BENCH_kernels.json", REPO / "BENCH_sweep.json"
-    )
-    assert problems == []
 
 
 @pytest.mark.smoke
@@ -61,75 +52,3 @@ def test_gate_flags_injected_regression():
     diff = profile_diff(old, new, threshold=0.25)
     assert not diff.ok
     assert len(diff.regressions) == len(old.steps)
-
-
-def _trajectory_record(commit, backend="numpy", kernels=None, routes=None):
-    return {
-        "schema": 1,
-        "commit": commit,
-        "backend": backend,
-        "scale": 1.0,
-        "seed": 1,
-        "rounds": 5,
-        "kernels_mean_s": kernels or {"batched_eval": 0.005},
-        "circuits": {
-            name: {"route_mean_s": t, "dirty_frac": 0.8}
-            for name, t in (routes or {"primary1": 0.05}).items()
-        },
-    }
-
-
-def _write_trajectory(tmp_path, records):
-    import json
-
-    path = tmp_path / "traj.json"
-    path.write_text(json.dumps({"schema": 1, "records": records}))
-    return path
-
-
-@pytest.mark.smoke
-def test_committed_trajectory_passes_trend_gate(capsys):
-    gate = _load_gate()
-    problems = gate.check_trajectory(REPO / "BENCH_trajectory.json", 0.05)
-    out = capsys.readouterr().out
-    assert problems == [], problems
-    assert "trend gate: OK" in out
-
-
-def test_trend_gate_catches_synthetic_kernel_regression(tmp_path, capsys):
-    gate = _load_gate()
-    path = _write_trajectory(tmp_path, [
-        _trajectory_record("aaa111222333", kernels={"batched_eval": 0.005}),
-        _trajectory_record("bbb444555666", kernels={"batched_eval": 0.0054}),
-    ])
-    problems = gate.check_trajectory(path, 0.05, kernel_threshold=0.05)
-    out = capsys.readouterr().out
-    assert len(problems) == 1
-    # the culprit report names the kernel, the backend, and both commits
-    assert "batched_eval" in problems[0]
-    assert "numpy" in problems[0]
-    assert "aaa111222333" in problems[0] and "bbb444555666" in problems[0]
-    assert "trend gate: FAILED" in out
-    # the same history passes at the default host-noise threshold
-    assert gate.check_trajectory(path, 0.05) == []
-
-
-def test_trend_gate_checks_whole_history_not_just_newest(tmp_path):
-    gate = _load_gate()
-    path = _write_trajectory(tmp_path, [
-        _trajectory_record("c1", routes={"primary1": 0.050}),
-        _trajectory_record("c2", routes={"primary1": 0.070}),
-        _trajectory_record("c3", routes={"primary1": 0.050}),
-    ])
-    problems = gate.check_trajectory(path, 0.05)
-    assert len(problems) == 1
-    assert "c1" in problems[0] and "c2" in problems[0]
-
-
-def test_trend_gate_rejects_malformed_trajectory(tmp_path):
-    gate = _load_gate()
-    bad = _trajectory_record("c1")
-    bad["circuits"]["primary1"].pop("route_mean_s")
-    problems = gate.check_trajectory(_write_trajectory(tmp_path, [bad]), 0.05)
-    assert len(problems) == 1
-    assert "route_mean_s" in problems[0]

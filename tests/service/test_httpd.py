@@ -113,6 +113,25 @@ class TestEndpoints:
                 assert status == 404
                 assert c.healthz()[0] == 200
 
+    def test_shutdown_folds_lifetime_tallies(self, tmp_path):
+        """Leaving the host stops the service, which writes the cache's
+        session hits/misses/stores into its lifetime sidecar."""
+        root = tmp_path / "cache"
+        cache = RunCache(root)
+        service = RoutingService(cache=cache, config=ServiceConfig(workers=1))
+        with ServiceHost(service) as h:
+            with ServiceClient(h.host, h.port) as c:
+                for body in (REQUEST, REQUEST, {**REQUEST, "seed": 2}):
+                    assert c.route(dict(body))[0] == 200
+            assert RunCache(root).lifetime_stats() == {
+                "hits": 0, "misses": 0, "stores": 0,
+            }
+        session = cache.stats()
+        assert (session["hits"], session["stores"]) == (1, 2)
+        assert RunCache(root).lifetime_stats() == {
+            k: session[k] for k in ("hits", "misses", "stores")
+        }
+
 
 class TestProtocolEdges:
     def test_malformed_request_line_is_400_and_closes(self, host):
@@ -192,6 +211,10 @@ class TestAsyncClient:
         # the burst may straddle the first completion, so some clients
         # coalesce and some replay from the cache — but never K stores
         assert cache.stats()["stores"] == 1
+        payloads = [payload for _, payload in responses]
+        fresh = [p for p in payloads if not (p["coalesced"] or p["cached"])]
+        assert len(fresh) == 1, payloads
+        assert any(p["coalesced"] for p in payloads), payloads
 
     def test_unreachable_raises(self):
         from repro.service.client import ServiceUnreachable

@@ -1,6 +1,6 @@
 """Latency histograms must survive the snapshot → `repro metrics export`
-round trip: the load-test harness saves a registry snapshot, and the CLI
-renders it with p50/p95/p99 quantile lines Prometheus can scrape."""
+round trip: the CLI renders a saved registry snapshot with p50/p95/p99
+quantile lines Prometheus can scrape."""
 
 from __future__ import annotations
 
