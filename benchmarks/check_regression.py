@@ -48,21 +48,29 @@ SMOKE_RUNS = {
 
 
 def smoke_profiles() -> Dict[str, Dict]:
-    """Route the smoke specs; ``label -> profile dict``."""
-    from repro.exec import SweepPoint, execute_point
+    """Route the smoke specs; ``label -> profile dict``.
+
+    One engine sweep: the serial leg is also the hybrid leg's baseline,
+    so the gate routes twice.
+    """
+    from repro.exec import SweepPoint, run_sweep_salvage
     from repro.twgr.config import RouterConfig
 
-    out: Dict[str, Dict] = {}
-    for label, (algorithm, nprocs) in SMOKE_RUNS.items():
-        point = SweepPoint(
+    points = [
+        SweepPoint(
             circuit=SMOKE_CIRCUIT, algorithm=algorithm, nprocs=nprocs,
             scale=SMOKE_SCALE, circuit_seed=SMOKE_SEED, machine=SMOKE_MACHINE,
             config=RouterConfig(seed=SMOKE_SEED),
         )
-        record = execute_point(point, compute_baseline=False)
-        assert record.profile is not None
-        out[label] = record.profile
-    return out
+        for algorithm, nprocs in SMOKE_RUNS.values()
+    ]
+    outcome = run_sweep_salvage(points, jobs=1)
+    if not outcome.ok:
+        raise RuntimeError("; ".join(f.describe() for f in outcome.failures))
+    return {
+        label: record.profile
+        for label, record in zip(SMOKE_RUNS, outcome.records)
+    }
 
 
 def load_reference(path: Path) -> Dict[str, Dict]:

@@ -30,7 +30,7 @@ def setup():
     return circuit, config, base
 
 
-def run_sweep(setup, algorithm):
+def sweep_procs(setup, algorithm):
     circuit, config, base = setup
     return {
         p: route_parallel(
@@ -45,8 +45,8 @@ def test_extension_scalability(benchmark, setup, emit):
     runs = {}
 
     def sweep():
-        runs["rowwise"] = run_sweep(setup, "rowwise")
-        runs["hybrid"] = run_sweep(setup, "hybrid")
+        runs["rowwise"] = sweep_procs(setup, "rowwise")
+        runs["hybrid"] = sweep_procs(setup, "hybrid")
         return runs
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -23,7 +23,7 @@ from repro.analysis.tables import Table, render_series
 from repro.circuits import mcnc
 from repro.circuits.model import Circuit
 from repro.exec.cache import RunCache
-from repro.exec.engine import SweepPoint, execute_point, run_sweep
+from repro.exec.engine import SweepPoint, run_sweep_salvage
 from repro.exec.record import RunRecord
 from repro.parallel.driver import ParallelConfig, ParallelRun
 from repro.parallel.partition import partition_nets, partition_summary
@@ -68,7 +68,6 @@ QUICK = ExperimentSettings(
 #: is shared across every settings variant that only differs in parallel
 #: knobs — exactly the runs it is valid for.
 _RECORDS: Dict[str, RunRecord] = {}
-_RUNS: Dict[str, ParallelRun] = {}
 
 #: optional on-disk cache consulted by every run (see :func:`set_cache`)
 _CACHE: Optional[RunCache] = None
@@ -104,30 +103,46 @@ def _point(
     )
 
 
-def _record(point: SweepPoint) -> RunRecord:
-    key = point.key()
-    rec = _RECORDS.get(key)
-    if rec is None:
-        base = None if point.algorithm == "serial" else _record(point.baseline_point())
-        rec = execute_point(point, cache=_CACHE, baseline_record=base)
-        _RECORDS[key] = rec
-    return rec
+def _sweep(
+    points: Sequence[SweepPoint],
+    jobs: Optional[int] = None,
+    cache: Optional[RunCache] = None,
+) -> List[RunRecord]:
+    """The points' records, memoized with their serial baselines.
+
+    Points not yet in the memo run through one engine sweep together
+    with their baselines, so every record the memo holds is one the
+    engine returned.  Raises when any point is lost.
+    """
+    wanted: Dict[str, SweepPoint] = {}
+    for point in points:
+        if point.algorithm != "serial":
+            base = point.baseline_point()
+            wanted.setdefault(base.key(), base)
+        wanted.setdefault(point.key(), point)
+    todo = {key: p for key, p in wanted.items() if key not in _RECORDS}
+    if todo:
+        outcome = run_sweep_salvage(
+            list(todo.values()),
+            jobs=jobs if jobs is not None else _JOBS,
+            cache=cache if cache is not None else _CACHE,
+        )
+        if not outcome.ok:
+            raise RuntimeError(
+                "; ".join(f.describe() for f in outcome.failures)
+            )
+        _RECORDS.update(zip(todo, outcome.records))
+    return [_RECORDS[p.key()] for p in points]
 
 
 def _baseline(settings: ExperimentSettings, name: str) -> RoutingResult:
-    return _record(_point(settings, "serial", name, 1)).routing_result()
+    return _sweep([_point(settings, "serial", name, 1)])[0].routing_result()
 
 
 def _run(
     settings: ExperimentSettings, algorithm: str, name: str, nprocs: int
 ) -> ParallelRun:
-    point = _point(settings, algorithm, name, nprocs)
-    key = point.key()
-    run = _RUNS.get(key)
-    if run is None:
-        run = _record(point).parallel_run()
-        _RUNS[key] = run
-    return run
+    return _sweep([_point(settings, algorithm, name, nprocs)])[0].parallel_run()
 
 
 def prefetch(
@@ -148,32 +163,12 @@ def prefetch(
         for algo in algorithms
         for p in settings.procs
     ]
-    records = run_sweep(
-        points,
-        jobs=jobs if jobs is not None else _JOBS,
-        cache=cache if cache is not None else _CACHE,
-    )
-    for point, rec in zip(points, records):
-        _RECORDS.setdefault(point.key(), rec)
-        bpoint = point.baseline_point()
-        if rec.baseline is not None and bpoint.key() not in _RECORDS:
-            _RECORDS[bpoint.key()] = RunRecord(
-                circuit=rec.circuit,
-                scale=rec.scale,
-                circuit_seed=rec.circuit_seed,
-                algorithm="serial",
-                nprocs=1,
-                machine=rec.machine,
-                result=rec.baseline,
-                key=bpoint.key(),
-            )
-    return records
+    return _sweep(points, jobs=jobs, cache=cache)
 
 
 def clear_cache() -> None:
     """Drop memoized runs (tests use this between parameter changes)."""
     _RECORDS.clear()
-    _RUNS.clear()
 
 
 # ---------------------------------------------------------------------------

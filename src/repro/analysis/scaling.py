@@ -6,7 +6,7 @@ least-squares fit of Amdahl's law — a compact way to compare how the
 three algorithms' overheads scale, and to extrapolate beyond measured
 processor counts.  :func:`speedups_from_records` /
 :func:`fits_from_records` consume the run records the execution engine
-(:func:`repro.exec.run_sweep`) produces, so a cached sweep can be
+(:func:`repro.exec.run_sweep_salvage`) produces, so a cached sweep can be
 re-analyzed without recomputing anything.
 """
 

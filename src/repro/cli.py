@@ -66,7 +66,7 @@ from repro.perfmodel.machine import MACHINES, SPARCCENTER_1000
 from repro.twgr.config import RouterConfig
 
 if TYPE_CHECKING:
-    from repro.exec import RunCache
+    from repro.exec import RunCache, SweepOutcome, SweepPoint
 
 log = logging.getLogger("repro")
 
@@ -149,8 +149,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for independent runs (default: host cores, "
-        "REPRO_JOBS overrides; 1 = in-process)",
+        help="worker processes for independent runs (default: host cores; "
+        "1 = in-process)",
     )
     parser.add_argument(
         "--cache", action="store_true",
@@ -160,6 +160,20 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR",
         help="cache directory (implies --cache)",
     )
+
+
+def _sweep(
+    points: List["SweepPoint"],
+    jobs: Optional[int] = None,
+    cache: Optional["RunCache"] = None,
+) -> "SweepOutcome":
+    """Run ``points`` through the sweep engine, printing each lost point."""
+    from repro.exec import run_sweep_salvage
+
+    outcome = run_sweep_salvage(points, jobs=jobs, cache=cache)
+    for failure in outcome.failures:
+        print(failure.describe())
+    return outcome
 
 
 @contextmanager
@@ -411,7 +425,7 @@ def cmd_circuits(_args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     """Route one circuit and print (optionally save) the metrics."""
-    from repro.exec import SweepPoint, execute_point
+    from repro.exec import SweepPoint
 
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
     log.info("circuit: %s", circuit)
@@ -424,7 +438,10 @@ def cmd_route(args: argparse.Namespace) -> int:
         ),
     )
     with _open_cache(args) as cache:
-        record = execute_point(point, cache=cache)
+        outcome = _sweep([point], args.jobs, cache)
+    if not outcome.ok:
+        return outcome.exit_code
+    record = outcome.records[0]
     suffix = "  (cached)" if record.cached else ""
     if args.algorithm == "serial":
         print(record.routing_result().summary() + suffix)
@@ -444,7 +461,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Run the three algorithms across processor counts — one engine
     sweep sharing a single serial baseline."""
     from repro.analysis.tables import Table
-    from repro.exec import SweepPoint, run_sweep
+    from repro.exec import SweepPoint
 
     circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
     machine = MACHINES[args.machine]
@@ -463,7 +480,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         point(a, p) for a in algorithms for p in args.procs
     ]
     with _open_cache(args) as cache:
-        records = run_sweep(points, jobs=args.jobs, cache=cache)
+        outcome = _sweep(points, args.jobs, cache)
+    if not outcome.ok:
+        return outcome.exit_code
+    records = outcome.records
     base = records[0].routing_result()
     runs = {
         (rec.algorithm, rec.nprocs): rec.parallel_run() for rec in records[1:]
@@ -618,7 +638,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Route one circuit and print (optionally diff) its step profile."""
     import json as _json
 
-    from repro.exec import SweepPoint, execute_point
+    from repro.exec import SweepPoint
     from repro.obs import (
         REGISTRY,
         RunProfile,
@@ -636,7 +656,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         ),
     )
     with _open_cache(args) as cache:
-        record = execute_point(point, cache=cache, compute_baseline=False)
+        outcome = _sweep([point], args.jobs, cache)
+    if not outcome.ok:
+        return outcome.exit_code
+    record = outcome.records[0]
     profile = record.run_profile()
     if profile is None:
         print("record carries no profile (cached under an old schema?)")
@@ -991,13 +1014,15 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     else:
         # route one small point so the registry carries live cache
         # counters and the engine's host-latency histogram
-        from repro.exec import SweepPoint, execute_point
+        from repro.exec import SweepPoint
 
         point = SweepPoint(
             circuit=args.circuit, scale=args.scale, circuit_seed=args.seed,
             config=RouterConfig(seed=args.seed),
         )
-        execute_point(point, compute_baseline=False)
+        outcome = _sweep([point])
+        if not outcome.ok:
+            return outcome.exit_code
         log.info("routed %s to populate the registry", point.describe())
         snap = REGISTRY.snapshot()
     text = render_prometheus_snapshot(snap, prefix=args.prefix)

@@ -12,11 +12,13 @@ computation.  This package executes such sweeps:
   on-disk cache of run records, keyed by a hash of everything that
   determines the run (circuit spec, configs, machine, algorithm,
   processor count, seed, and a code-version salt);
-* :mod:`repro.exec.engine` — :class:`SweepPoint` and :func:`run_sweep`,
-  which resolve cache hits, compute each distinct serial baseline once,
-  and fan the remaining points out over a ``ProcessPoolExecutor``
-  (degrading gracefully to in-process execution on one-core hosts,
-  ``jobs=1``, or pool failure).
+* :mod:`repro.exec.engine` — :class:`SweepPoint` and
+  :func:`run_sweep_salvage`, the one sweep driver: it looks each
+  distinct key up in the cache once, computes each distinct serial
+  baseline once, fans the remaining points out over a
+  ``ProcessPoolExecutor`` (degrading gracefully to in-process execution
+  on one-core hosts, ``jobs=1``, or pool failure), retries points that
+  fail, and returns the survivors with a per-point failure ledger.
 
 Every run is deterministic, so a pooled run, its cached replay, and a
 direct in-process :func:`repro.parallel.driver.route_parallel` call
@@ -30,10 +32,8 @@ from repro.exec.engine import (
     PointFailure,
     SweepOutcome,
     SweepPoint,
-    execute_point,
     resolve_jobs,
     retry_backoff_s,
-    run_sweep,
     run_sweep_salvage,
 )
 from repro.exec.record import RunRecord
@@ -47,9 +47,7 @@ __all__ = [
     "SweepOutcome",
     "SweepPoint",
     "cache_key",
-    "execute_point",
     "resolve_jobs",
     "retry_backoff_s",
-    "run_sweep",
     "run_sweep_salvage",
 ]

@@ -2,22 +2,26 @@
 
 A :class:`SweepPoint` names one deterministic routing run — circuit
 (by benchmark name, scale, and seed), algorithm, processor count,
-machine model, and the two config dataclasses.  :func:`run_sweep`
-executes a batch of points:
+machine model, and the two config dataclasses.  :func:`run_sweep_salvage`
+is the one driver that executes a batch of points:
 
-1. resolve cache hits (nothing deterministic is ever computed twice);
+1. look up each distinct key in the cache once (nothing deterministic is
+   ever computed twice);
 2. compute each *distinct* serial baseline exactly once — a processor
    sweep over one circuit/config shares a single serial route, and the
    ablation sweeps (which vary only ``ParallelConfig``) share it too,
    because the baseline key normalizes the parallel knobs away;
-3. fan the remaining points out over a ``ProcessPoolExecutor``, each
-   worker regenerating its circuit from the spec (specs pickle in
-   microseconds; circuits would not) and returning a compact
-   :class:`~repro.exec.record.RunRecord` dict.
+3. run the remaining points against their baselines, so every parallel
+   record it returns or stores carries the baseline it was scaled by.
 
-``jobs=1``, a one-core host, a single task, or any pool failure all
-degrade to plain in-process execution of the identical code path, so
-results never depend on how they were scheduled.
+Steps 2 and 3 share :func:`_run_tasks`: a parent-side fault gate, first
+attempts fanned out over a ``ProcessPoolExecutor`` (each worker
+regenerates its circuit from the spec — specs pickle in microseconds,
+circuits would not — and returns a compact
+:class:`~repro.exec.record.RunRecord` dict), then inline retries of the
+points that failed.  ``jobs=1``, a one-core host, a single task, or any
+pool failure all degrade to plain in-process execution of the identical
+code path, so results never depend on how they were scheduled.
 
 The engine reads and writes records only.  Folding a cache's hit/miss
 tallies into its lifetime sidecar is the job of the cache's owner, once,
@@ -32,7 +36,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.circuits import mcnc
 from repro.circuits.model import CircuitStats
@@ -43,9 +47,6 @@ from repro.perfmodel.machine import MACHINES
 from repro.twgr.config import RouterConfig
 from repro.twgr.result import RoutingResult
 
-#: environment override for the default worker count
-JOBS_ENV = "REPRO_JOBS"
-
 #: process exit status for a sweep that completed but lost points —
 #: distinct from success (0) and from hard failure (1) so callers can
 #: script around partial results
@@ -53,28 +54,23 @@ DEGRADED_EXIT = 3
 
 #: ceiling on one retry sleep; exponential growth stops here so a flaky
 #: point can never stall a sweep (or a service worker) for minutes
-DEFAULT_BACKOFF_CAP_S = 2.0
+BACKOFF_CAP_S = 2.0
 
 
-def retry_backoff_s(
-    backoff_s: float,
-    attempt: int,
-    cap_s: float = DEFAULT_BACKOFF_CAP_S,
-    jitter_key: str = "",
-) -> float:
+def retry_backoff_s(backoff_s: float, attempt: int, jitter_key: str = "") -> float:
     """Host-seconds to sleep before retry ``attempt`` (2-based).
 
     Exponential (``backoff_s`` doubling per retry) but *capped* at
-    ``cap_s``, then spread by deterministic jitter in ``[0.5x, 1.5x]``
-    drawn from ``(jitter_key, attempt)``.  The jitter is a pure function
-    of its inputs — no global RNG, no wall clock — so seeded chaos
-    replays sleep bit-identically, while N coalesced clients retrying
-    the same flaky point (distinct jitter keys) fan out instead of
-    thundering in lockstep.
+    :data:`BACKOFF_CAP_S`, then spread by deterministic jitter in
+    ``[0.5x, 1.5x]`` drawn from ``(jitter_key, attempt)``.  The jitter is
+    a pure function of its inputs — no global RNG, no wall clock — so
+    seeded chaos replays sleep bit-identically, while N coalesced clients
+    retrying the same flaky point (distinct jitter keys) fan out instead
+    of thundering in lockstep.
     """
     if backoff_s <= 0:
         return 0.0
-    base = min(backoff_s * (2 ** (attempt - 2)), max(cap_s, backoff_s))
+    base = min(backoff_s * (2 ** (attempt - 2)), max(BACKOFF_CAP_S, backoff_s))
     rnd = random.Random(f"{jitter_key}:retry{attempt}").random()
     return base * (0.5 + rnd)
 
@@ -298,63 +294,62 @@ def _execute(point: SweepPoint, baseline: Optional[RoutingResult]) -> RunRecord:
 
 
 def _observe_record(record: RunRecord) -> RunRecord:
-    """Parent-side latency bookkeeping for freshly computed points.
+    """Parent-side latency bookkeeping for a freshly computed point.
 
     Folds the point's host wall time into the process-wide
     ``engine.point_host_ms`` histogram, which `repro profile` and
-    `repro metrics export` surface as p50/p95/p99 — cache replays never
-    count (their ``host_seconds`` is the replay cost, not a route).
+    `repro metrics export` surface as p50/p95/p99 — cache replays are
+    never passed here (their ``host_seconds`` is the replay cost, not a
+    route).
     """
     from repro.obs.metrics import REGISTRY
 
-    if not record.cached:
-        REGISTRY.histogram("engine.point_host_ms").observe(
-            record.host_seconds * 1e3
-        )
+    REGISTRY.histogram("engine.point_host_ms").observe(record.host_seconds * 1e3)
     return record
 
 
-def _worker(task: Tuple[SweepPoint, Optional[Dict[str, Any]]]) -> Dict[str, Any]:
-    """Process-pool entry point: compute one point, return its dict form."""
+#: one attempt's outcome: ``("ok", record_dict, "")`` or
+#: ``("err", error_type_name, message)``
+Attempt = Tuple[str, Any, str]
+
+#: one unit of work: a point and its serial baseline's result dict
+#: (``None`` for serial points)
+Task = Tuple[SweepPoint, Optional[Dict[str, Any]]]
+
+
+def _safe_worker(task: Task) -> Attempt:
+    """Process-pool entry point: compute one point, never raise.
+
+    Exceptions become values, so one failing point never tears down the
+    batch and the parent decides per point whether to retry or give up.
+    """
     from repro.analysis.records import result_from_dict  # avoids an import cycle
 
     point, baseline_dict = task
-    baseline = result_from_dict(baseline_dict) if baseline_dict is not None else None
-    return _execute(point, baseline).to_dict()
+    try:
+        baseline = result_from_dict(baseline_dict) if baseline_dict is not None else None
+        return ("ok", _execute(point, baseline).to_dict(), "")
+    except Exception as exc:  # contained: reported per point
+        return ("err", type(exc).__name__, str(exc))
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Effective worker count: explicit > ``REPRO_JOBS`` > host cores."""
+    """Effective worker count: an explicit positive value, else host cores."""
     if jobs is not None and jobs > 0:
         return jobs
-    env = os.environ.get(JOBS_ENV, "").strip()
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError:
-            parsed = 0
-        if parsed > 0:
-            return parsed
     return os.cpu_count() or 1
 
 
-def _map_tasks(
-    tasks: Sequence[Tuple[SweepPoint, Optional[Dict[str, Any]]]],
-    jobs: int,
-    worker: Any = None,
-) -> List[Any]:
+def _map_tasks(tasks: Sequence[Any], jobs: int, worker: Any = _safe_worker) -> List[Any]:
     """Run tasks across the pool (or inline), preserving order.
 
     Falls back to in-process execution only for *pool* failures — the
     pool cannot be created (sandboxed host, fork limits) or dies mid-map
     (``BrokenProcessPool``, ``OSError``).  The worker is a pure function,
-    so rerunning inline yields the identical records.  A deterministic
-    exception raised *by the worker* is a result, not a pool failure: it
-    propagates to the caller instead of silently rerunning the whole
-    batch inline (which used to mask the error until the inline rerun hit
-    it again — or worse, hid genuine nondeterminism).
+    so rerunning inline yields the identical records.  A point that
+    raises is not a pool failure: :func:`_safe_worker` returns the error
+    as a value, and the parent retries that point alone.
     """
-    worker = worker or _worker
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     try:
@@ -377,125 +372,6 @@ def _map_tasks(
             type(exc).__name__, exc, len(tasks),
         )
         return [worker(t) for t in tasks]
-
-
-def execute_point(
-    point: SweepPoint,
-    cache: Optional[RunCache] = None,
-    baseline_record: Optional[RunRecord] = None,
-    compute_baseline: bool = True,
-) -> RunRecord:
-    """Execute (or replay) a single point in-process.
-
-    Parallel points need a serial baseline for scaled metrics; pass one
-    as ``baseline_record`` to share it across calls, or let this resolve
-    it (through the cache when one is given).  ``compute_baseline=False``
-    skips the baseline entirely, mirroring
-    :func:`~repro.parallel.driver.route_parallel`.
-    """
-    point.validate()
-    key = point.key()
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            return RunRecord.from_dict(payload, cached=True)
-    baseline: Optional[RoutingResult] = None
-    if point.algorithm != "serial":
-        if baseline_record is None and compute_baseline:
-            baseline_record = execute_point(point.baseline_point(), cache=cache)
-        if baseline_record is not None:
-            baseline = baseline_record.routing_result()
-    record = _observe_record(_execute(point, baseline))
-    if cache is not None:
-        cache.put(key, record.to_dict())
-    return record
-
-
-def run_sweep(
-    points: Sequence[SweepPoint],
-    jobs: Optional[int] = None,
-    cache: Optional[RunCache] = None,
-) -> List[RunRecord]:
-    """Execute a batch of points; returns records in input order.
-
-    Cache hits are replayed without computing; each distinct serial
-    baseline is computed once and shared by every parallel point that
-    scales against it; everything else fans out across ``jobs`` worker
-    processes (default: :func:`resolve_jobs`).
-    """
-    points = list(points)
-    for p in points:
-        p.validate()
-    njobs = resolve_jobs(jobs)
-    keys = [p.key() for p in points]
-    records: List[Optional[RunRecord]] = [None] * len(points)
-
-    if cache is not None:
-        for i, key in enumerate(keys):
-            payload = cache.get(key)
-            if payload is not None:
-                records[i] = RunRecord.from_dict(payload, cached=True)
-
-    todo = [i for i, r in enumerate(records) if r is None]
-
-    # -- phase 1: each distinct serial baseline, exactly once ------------
-    base_points: Dict[str, SweepPoint] = {}
-    for i in todo:
-        p = points[i]
-        bp = p if p.algorithm == "serial" else p.baseline_point()
-        base_points.setdefault(bp.key(), bp)
-    base_records: Dict[str, RunRecord] = {}
-    missing: List[Tuple[str, SweepPoint]] = []
-    for bkey, bp in base_points.items():
-        payload = cache.get(bkey) if cache is not None else None
-        if payload is not None:
-            base_records[bkey] = RunRecord.from_dict(payload, cached=True)
-        else:
-            missing.append((bkey, bp))
-    if missing:
-        outputs = _map_tasks([(bp, None) for _, bp in missing], njobs)
-        for (bkey, _bp), out in zip(missing, outputs):
-            rec = _observe_record(RunRecord.from_dict(out))
-            base_records[bkey] = rec
-            if cache is not None:
-                cache.put(bkey, out)
-
-    # -- phase 2: the parallel points, against their shared baselines ----
-    tasks: List[Tuple[SweepPoint, Optional[Dict[str, Any]]]] = []
-    task_slots: List[int] = []
-    for i in todo:
-        p = points[i]
-        if p.algorithm == "serial":
-            records[i] = base_records[p.key()]
-            continue
-        tasks.append((p, base_records[p.baseline_point().key()].result))
-        task_slots.append(i)
-    if tasks:
-        outputs = _map_tasks(tasks, njobs)
-        for i, out in zip(task_slots, outputs):
-            records[i] = _observe_record(RunRecord.from_dict(out))
-            if cache is not None:
-                cache.put(keys[i], out)
-
-    return [r for r in records if r is not None]
-
-
-# -- failure-containing execution ---------------------------------------
-
-
-def _safe_worker(
-    task: Tuple[SweepPoint, Optional[Dict[str, Any]]],
-) -> Tuple[str, Any, str]:
-    """Pool entry point that converts exceptions into values.
-
-    Returns ``("ok", record_dict, "")`` or ``("err", error_type_name,
-    message)`` — so one failing point never tears down the batch, and
-    the parent can decide per point whether to retry or salvage.
-    """
-    try:
-        return ("ok", _worker(task), "")
-    except BaseException as exc:  # contained: reported per point
-        return ("err", type(exc).__name__, str(exc))
 
 
 @dataclass(slots=True)
@@ -546,13 +422,8 @@ class SweepOutcome:
         return ", ".join(parts)
 
 
-def _salvage_attempt(
-    point: SweepPoint,
-    baseline_dict: Optional[Dict[str, Any]],
-    attempt: int,
-    faults: Any,
-) -> Tuple[str, Any, str]:
-    """One inline attempt at one point, behind the parent-side fault gate.
+def _gate(point: SweepPoint, attempt: int, faults: Any) -> Optional[Attempt]:
+    """The parent-side fault gate before one attempt at one point.
 
     ``faults.on_point`` runs in the parent (process-pool workers never
     see the plan object), so injected point failures are deterministic
@@ -564,7 +435,48 @@ def _salvage_attempt(
         faults.on_point(point.describe(), attempt)
     except InjectedFault as exc:
         return ("err", "InjectedFault", str(exc))
-    return _safe_worker((point, baseline_dict))
+    return None
+
+
+def _run_tasks(
+    tasks: List[Task], njobs: int, faults: Any, max_retries: int, backoff_s: float,
+) -> Tuple[List[Union[Dict[str, Any], PointFailure]], int]:
+    """Drive each task to a record dict or a :class:`PointFailure`.
+
+    Three steps: the fault gate for every first attempt; the first
+    attempts that passed it fan out through :func:`_map_tasks`; then
+    each failed point retries inline up to ``max_retries`` more times,
+    sleeping :func:`retry_backoff_s` before each retry.  Returns the
+    per-task outcomes in order and the number of retries spent.
+    """
+    from repro.obs.metrics import REGISTRY
+
+    firsts = [_gate(point, 1, faults) for point, _ in tasks]
+    pooled = [j for j, out in enumerate(firsts) if out is None]
+    for j, out in zip(pooled, _map_tasks([tasks[j] for j in pooled], njobs)):
+        firsts[j] = out
+    results: List[Union[Dict[str, Any], PointFailure]] = []
+    retries = 0
+    for task, out in zip(tasks, firsts):
+        point = task[0]
+        attempt = 1
+        while out[0] == "err" and attempt <= max_retries:
+            attempt += 1
+            retries += 1
+            REGISTRY.counter("engine.retries").inc()
+            time.sleep(retry_backoff_s(backoff_s, attempt, jitter_key=point.key()))
+            out = _gate(point, attempt, faults) or _safe_worker(task)
+        if out[0] == "err":
+            failure = PointFailure(point, out[1], out[2], attempt)
+            log.warning("point lost: %s", failure.describe())
+            results.append(failure)
+            continue
+        payload = out[1]
+        if attempt > 1:
+            payload = dict(payload)
+            payload["attempts"] = attempt
+        results.append(payload)
+    return results, retries
 
 
 def run_sweep_salvage(
@@ -574,19 +486,20 @@ def run_sweep_salvage(
     faults: Optional[Any] = None,
     max_retries: int = 2,
     backoff_s: float = 0.05,
-    backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
 ) -> SweepOutcome:
     """Execute a batch of points, containing per-point failures.
 
-    Unlike :func:`run_sweep` — which lets the first worker exception
-    abort the whole batch — this variant retries each failed point up to
-    ``max_retries`` more times (exponential backoff starting at
-    ``backoff_s`` host-seconds, capped at ``backoff_cap_s`` and spread
-    with deterministic per-point jitter — see :func:`retry_backoff_s`)
-    and then salvages everything else: the
-    returned :class:`SweepOutcome` carries all surviving records plus a
-    :class:`PointFailure` ledger, and ``outcome.exit_code`` is
-    :data:`DEGRADED_EXIT` when anything was lost.
+    Cache hits are replayed without computing; each distinct serial
+    baseline is computed once and shared by every parallel point that
+    scales against it; everything else fans out across ``jobs`` worker
+    processes (default: :func:`resolve_jobs`).  A failed point is retried
+    up to ``max_retries`` more times (exponential backoff starting at
+    ``backoff_s`` host-seconds, capped and spread with deterministic
+    per-point jitter — see :func:`retry_backoff_s`) and everything else
+    is salvaged: the returned :class:`SweepOutcome` carries all surviving
+    records in input order plus a :class:`PointFailure` ledger, and
+    ``outcome.exit_code`` is :data:`DEGRADED_EXIT` when anything was
+    lost.  A lost baseline fails every point that scales against it.
 
     ``faults`` accepts a :class:`~repro.faults.plan.FaultPlan` whose
     ``on_point``/``on_cache`` hooks inject deterministic transient
@@ -607,147 +520,80 @@ def run_sweep_salvage(
         p.validate()
     njobs = resolve_jobs(jobs)
     keys = [p.key() for p in points]
-    records: List[Optional[RunRecord]] = [None] * len(points)
-    failures: Dict[int, PointFailure] = {}
+    records: Dict[str, RunRecord] = {}
+    lost: Dict[str, PointFailure] = {}
     retries = 0
 
-    def _contained_put(key: str, payload: Dict[str, Any]) -> None:
-        if cache is None:
-            return
-        try:
-            cache.put(key, payload)
-        except OSError as exc:
-            REGISTRY.counter("cache.put_errors").inc()
-            log.warning("cache write failed for %s (%s); continuing", key, exc)
-
-    def _run_with_retries(
-        i: int, point: SweepPoint, baseline_dict: Optional[Dict[str, Any]],
-        first: Optional[Tuple[str, Any, str]] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Drive one point to success or a PointFailure; returns its dict."""
-        nonlocal retries
-        attempt = 1
-        out = first if first is not None else _salvage_attempt(
-            point, baseline_dict, attempt, faults
-        )
-        while out[0] == "err" and attempt <= max_retries:
-            attempt += 1
-            retries += 1
-            REGISTRY.counter("engine.retries").inc()
-            time.sleep(retry_backoff_s(
-                backoff_s, attempt, cap_s=backoff_cap_s,
-                jitter_key=point.key(),
-            ))
-            out = _salvage_attempt(point, baseline_dict, attempt, faults)
-        if out[0] == "err":
-            failures[i] = PointFailure(
-                point=point, error_type=out[1], message=out[2], attempts=attempt
-            )
-            REGISTRY.counter("engine.failed_points").inc()
-            log.warning("point lost: %s", failures[i].describe())
-            return None
-        payload = out[1]
-        if attempt > 1:
-            payload = dict(payload)
-            payload["attempts"] = attempt
-        return payload
-
-    if cache is not None:
-        for i, key in enumerate(keys):
-            payload = cache.get(key)
-            if payload is not None:
-                records[i] = RunRecord.from_dict(payload, cached=True)
-    todo = [i for i, r in enumerate(records) if r is None]
-
-    # -- phase 1: distinct serial baselines (shared, so a lost baseline
-    #    fails every point that scales against it) ----------------------
-    base_points: Dict[str, SweepPoint] = {}
-    for i in todo:
-        p = points[i]
-        bp = p if p.algorithm == "serial" else p.baseline_point()
-        base_points.setdefault(bp.key(), bp)
-    base_records: Dict[str, RunRecord] = {}
-    base_failed: Dict[str, str] = {}
-    missing: List[Tuple[str, SweepPoint]] = []
-    for bkey, bp in base_points.items():
-        payload = cache.get(bkey) if cache is not None else None
+    def lookup(key: str) -> None:
+        payload = cache.get(key) if cache is not None else None
         if payload is not None:
-            base_records[bkey] = RunRecord.from_dict(payload, cached=True)
-        else:
-            missing.append((bkey, bp))
-    for bkey, bp in missing:
-        payload = _run_with_retries(-1, bp, None)
-        if payload is None:
-            lost = failures.pop(-1)
-            base_failed[bkey] = (
-                f"serial baseline failed: {lost.error_type}: {lost.message}"
-            )
-            continue
-        base_records[bkey] = _observe_record(RunRecord.from_dict(payload))
-        _contained_put(bkey, payload)
+            records[key] = RunRecord.from_dict(payload, cached=True)
 
-    # -- phase 2: the remaining points ----------------------------------
-    tasks: List[Tuple[SweepPoint, Optional[Dict[str, Any]]]] = []
-    task_slots: List[int] = []
-    for i in todo:
-        p = points[i]
-        bkey = p.key() if p.algorithm == "serial" else p.baseline_point().key()
-        if p.algorithm == "serial":
-            if bkey in base_records:
-                records[i] = base_records[bkey]
-            else:
-                failures[i] = PointFailure(
-                    point=p, error_type="BaselineFailure",
-                    message=base_failed.get(bkey, "serial baseline failed"),
-                    attempts=max_retries + 1,
-                )
-                REGISTRY.counter("engine.failed_points").inc()
-            continue
-        if bkey not in base_records:
-            failures[i] = PointFailure(
-                point=p, error_type="BaselineFailure",
-                message=base_failed.get(bkey, "serial baseline failed"),
-                attempts=max_retries + 1,
-            )
-            REGISTRY.counter("engine.failed_points").inc()
-            continue
-        tasks.append((p, base_records[bkey].result))
-        task_slots.append(i)
-
-    if tasks:
-        # first attempts fan out across the pool; the parent-side fault
-        # gate pulls injected failures out of the batch beforehand
-        gated: List[Optional[Tuple[str, Any, str]]] = [None] * len(tasks)
-        pooled: List[Tuple[SweepPoint, Optional[Dict[str, Any]]]] = []
-        pooled_slots: List[int] = []
-        from repro.faults.plan import InjectedFault
-
-        for j, (p, bdict) in enumerate(tasks):
+    def settle(keyed: List[Tuple[str, Task]]) -> None:
+        nonlocal retries
+        if not keyed:  # an all-hit sweep, the service's common case
+            return
+        outs, spent = _run_tasks(
+            [task for _, task in keyed], njobs, faults, max_retries, backoff_s
+        )
+        retries += spent
+        for (key, _), out in zip(keyed, outs):
+            if isinstance(out, PointFailure):
+                lost[key] = out
+                continue
+            records[key] = _observe_record(RunRecord.from_dict(out))
+            if cache is None:
+                continue
             try:
-                faults.on_point(p.describe(), 1)
-            except InjectedFault as exc:
-                gated[j] = ("err", "InjectedFault", str(exc))
-                continue
-            pooled.append((p, bdict))
-            pooled_slots.append(j)
-        if pooled:
-            outputs = _map_tasks(pooled, njobs, worker=_safe_worker)
-            for j, out in zip(pooled_slots, outputs):
-                gated[j] = out
-        for j, first in enumerate(gated):
-            i = task_slots[j]
-            p, bdict = tasks[j]
-            payload = _run_with_retries(i, p, bdict, first=first)
-            if payload is None:
-                continue
-            records[i] = _observe_record(RunRecord.from_dict(payload))
-            _contained_put(keys[i], payload)
+                cache.put(key, out)
+            except OSError as exc:
+                REGISTRY.counter("cache.put_errors").inc()
+                log.warning("cache write failed for %s (%s); continuing", key, exc)
 
-    survivors = [r for r in records if r is not None]
+    looked_up = set(keys)
+    for key in dict.fromkeys(keys):
+        lookup(key)
+    todo = {k: p for k, p in zip(keys, points) if k not in records}
+
+    # -- phase 1: each distinct serial baseline the misses need ----------
+    base_key: Dict[str, str] = {}
+    base_todo: Dict[str, SweepPoint] = {}
+    for k, p in todo.items():
+        bp = p if p.algorithm == "serial" else p.baseline_point()
+        bk = k if bp is p else bp.key()
+        base_key[k] = bk
+        if bk not in looked_up:
+            looked_up.add(bk)
+            lookup(bk)
+        if bk not in records:
+            base_todo.setdefault(bk, bp)
+    settle([(bk, (bp, None)) for bk, bp in base_todo.items()])
+
+    # -- phase 2: the parallel points, against their shared baselines ----
+    settle([
+        (k, (p, records[base_key[k]].result))
+        for k, p in todo.items()
+        if p.algorithm != "serial" and base_key[k] in records
+    ])
+
+    failures: List[PointFailure] = []
+    for k, p in zip(keys, points):
+        if k in records:
+            continue
+        if p.algorithm != "serial" and k in lost:
+            failures.append(lost[k])
+            continue
+        base = lost[base_key[k]]
+        failures.append(PointFailure(
+            point=p, error_type="BaselineFailure",
+            message=f"serial baseline failed: {base.error_type}: {base.message}",
+            attempts=base.attempts,
+        ))
     if failures:
+        REGISTRY.counter("engine.failed_points").inc(len(failures))
         REGISTRY.counter("engine.degraded_sweeps").inc()
     return SweepOutcome(
-        records=survivors,
-        failures=[failures[i] for i in sorted(failures)],
+        records=[records[k] for k in keys if k in records],
+        failures=failures,
         retries=retries,
     )

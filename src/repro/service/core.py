@@ -48,12 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exec.cache import RunCache
-from repro.exec.engine import (
-    DEFAULT_BACKOFF_CAP_S,
-    SweepOutcome,
-    SweepPoint,
-    run_sweep_salvage,
-)
+from repro.exec.engine import SweepOutcome, SweepPoint, run_sweep_salvage
 from repro.service.schema import ServiceRequestError, point_from_request
 
 #: response shape: (http_status, body_dict)
@@ -72,7 +67,6 @@ class ServiceConfig:
     max_retries: int = 1
     #: base retry backoff (host seconds); capped + jittered by the engine
     backoff_s: float = 0.05
-    backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S
     #: hard ceiling on one request's queue+route time; ``None`` = wait
     #: forever (a request past it gets a 504, the route keeps running)
     request_timeout_s: Optional[float] = 600.0
@@ -261,7 +255,6 @@ class RoutingService:
             faults=self._faults,
             max_retries=self.config.max_retries,
             backoff_s=self.config.backoff_s,
-            backoff_cap_s=self.config.backoff_cap_s,
         )
 
     async def _worker_loop(self, index: int) -> None:

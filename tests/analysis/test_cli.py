@@ -195,12 +195,27 @@ def test_compare_folds_its_session_tallies_once(capsys, tmp_path):
     run(capsys, *argv)
     code, out = run(capsys, *argv)
     assert code == 0
-    # cold: 4 point lookups + 1 baseline lookup miss, 4 stores;
-    # warm: 4 point hits
+    # cold: 4 point lookups miss (the serial point is the baseline, so
+    # it is not looked up again), 4 stores; warm: 4 point hits
     assert "cache: 4 hits, 0 misses" in out
     assert RunCache(root).lifetime_stats() == {
-        "hits": 4, "misses": 5, "stores": 4,
+        "hits": 4, "misses": 4, "stores": 4,
     }
+
+
+def test_route_after_profile_prints_the_baseline(capsys, tmp_path):
+    """A parallel record cached by `profile` carries its serial baseline,
+    so `route` can replay it with the `serial  :` line."""
+    common = (
+        "--scale", "0.05", "--algorithm", "hybrid", "--nprocs", "2",
+        "--cache-dir", str(tmp_path / "d"),
+    )
+    code, _ = run(capsys, "profile", "primary1", *common)
+    assert code == 0
+    code, out = run(capsys, "route", "--circuit", "primary1", *common)
+    assert code == 0
+    assert "serial  : primary1@0.05" in out
+    assert "(cached)" in out
 
 
 def test_profile_serial(capsys, tmp_path):

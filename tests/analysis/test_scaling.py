@@ -88,7 +88,7 @@ def test_fit_on_real_run():
 
 def test_fits_from_engine_records():
     from repro.analysis.scaling import fits_from_records, speedups_from_records
-    from repro.exec import SweepPoint, run_sweep
+    from repro.exec import SweepPoint, run_sweep_salvage
     from repro.twgr.config import RouterConfig
 
     cfg = RouterConfig(seed=13)
@@ -97,7 +97,9 @@ def test_fits_from_engine_records():
                    circuit_seed=1, config=cfg)
         for a in ("rowwise", "hybrid") for p in (2, 4)
     ]
-    records = run_sweep(points, jobs=1)
+    outcome = run_sweep_salvage(points, jobs=1)
+    assert outcome.ok
+    records = outcome.records
     sweeps = speedups_from_records(records)
     assert set(sweeps) == {"rowwise", "hybrid"}
     assert set(sweeps["rowwise"]) == {2, 4}
@@ -118,7 +120,7 @@ def test_speedup_table_from_profiled_runs():
     the telemetry must describe the same runs consistently: step span
     seconds can never exceed the enclosing rank/run span."""
     from repro.analysis.scaling import speedups_from_records
-    from repro.exec import SweepPoint, run_sweep
+    from repro.exec import SweepPoint, run_sweep_salvage
     from repro.twgr.config import RouterConfig
 
     cfg = RouterConfig(seed=13)
@@ -127,7 +129,9 @@ def test_speedup_table_from_profiled_runs():
                    circuit_seed=1, config=cfg)
         for p in (2, 4)
     ]
-    records = run_sweep(points, jobs=1)
+    outcome = run_sweep_salvage(points, jobs=1)
+    assert outcome.ok
+    records = outcome.records
     sweeps = speedups_from_records(records)
     assert set(sweeps["hybrid"]) == {2, 4}
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.circuits import mcnc
-from repro.exec import RunCache, SweepPoint, execute_point, resolve_jobs, run_sweep
+from repro.exec import RunCache, SweepPoint, resolve_jobs, run_sweep_salvage
 from repro.exec import engine as engine_mod
 from repro.parallel.driver import ParallelConfig, route_parallel, serial_baseline
 from repro.perfmodel.machine import MACHINES
@@ -16,6 +18,24 @@ POINT = SweepPoint(
     circuit="primary1", algorithm="hybrid", nprocs=3, scale=0.05,
     circuit_seed=1, config=CFG,
 )
+
+
+def sweep_records(points, jobs=1, cache=None):
+    """Records of a sweep that must lose no point.
+
+    Every parallel record, fresh or replayed from the cache, carries the
+    serial baseline it was scaled against.
+    """
+    outcome = run_sweep_salvage(points, jobs=jobs, cache=cache)
+    assert outcome.ok, outcome.failures
+    for rec in outcome.records:
+        assert rec.algorithm == "serial" or rec.baseline is not None
+    return outcome.records
+
+
+def run_point(point, cache=None):
+    (record,) = sweep_records([point], cache=cache)
+    return record
 
 
 def quality(result):
@@ -34,13 +54,13 @@ def quality(result):
 def test_pooled_cached_and_direct_runs_are_bit_identical(tmp_path):
     cache = RunCache(tmp_path / "cache")
 
-    # engine run through run_sweep with a multi-worker pool request
-    (pooled,) = [r for r in run_sweep([POINT, POINT.baseline_point()], jobs=2, cache=cache)
+    # engine run with a multi-worker pool request
+    (pooled,) = [r for r in sweep_records([POINT, POINT.baseline_point()], jobs=2, cache=cache)
                  if r.algorithm == "hybrid"]
     assert not pooled.cached
 
     # cached replay of the same point
-    replay = execute_point(POINT, cache=cache)
+    replay = run_point(POINT, cache=cache)
     assert replay.cached
 
     # direct in-process call, bypassing the engine entirely
@@ -62,8 +82,8 @@ def test_pooled_cached_and_direct_runs_are_bit_identical(tmp_path):
 
 
 def test_jobs_values_do_not_change_results(tmp_path):
-    serial = run_sweep([POINT], jobs=1)
-    pooled = run_sweep([POINT], jobs=2)
+    serial = sweep_records([POINT], jobs=1)
+    pooled = sweep_records([POINT], jobs=2)
     assert [r.quality for r in serial] == [r.quality for r in pooled]
     assert serial[0].timing == pooled[0].timing
 
@@ -86,7 +106,7 @@ def test_procs_sweep_routes_serially_exactly_once(monkeypatch):
                    scale=0.05, circuit_seed=1, config=CFG)
         for p in (1, 2, 3, 4)
     ]
-    records = run_sweep(points, jobs=1)
+    records = sweep_records(points, jobs=1)
     assert calls["n"] == 1
     assert len(records) == 4
     base_q = records[0].baseline_result()
@@ -123,7 +143,7 @@ def test_sweep_cache_cold_then_warm(tmp_path, monkeypatch):
                    scale=0.05, circuit_seed=1, config=CFG)
         for a in ("rowwise", "netwise")
     ]
-    cold = run_sweep(points, jobs=1, cache=cache)
+    cold = sweep_records(points, jobs=1, cache=cache)
     assert all(not r.cached for r in cold)
     assert len(cache) == 3  # two parallel records + one shared baseline
 
@@ -131,16 +151,28 @@ def test_sweep_cache_cold_then_warm(tmp_path, monkeypatch):
         raise AssertionError("routed on a warm cache")
 
     monkeypatch.setattr(engine_mod, "_execute", boom)
-    warm = run_sweep(points, jobs=1, cache=cache)
+    warm = sweep_records(points, jobs=1, cache=cache)
     assert all(r.cached for r in warm)
     assert [r.quality for r in warm] == [r.quality for r in cold]
 
 
-def test_execute_point_serial_record_roundtrip(tmp_path):
+def test_each_distinct_key_is_looked_up_once(tmp_path):
+    """A cold serial point is one miss and one store, not a miss as
+    itself plus a second miss as its own baseline."""
+    point = POINT.baseline_point()
+    cold = RunCache(tmp_path / "cache")
+    run_point(point, cache=cold)
+    assert (cold.hits, cold.misses, cold.stores) == (0, 1, 1)
+    warm = RunCache(tmp_path / "cache")
+    run_point(point, cache=warm)
+    assert (warm.hits, warm.misses, warm.stores) == (1, 0, 0)
+
+
+def test_serial_record_roundtrip(tmp_path):
     cache = RunCache(tmp_path / "cache")
     point = POINT.baseline_point()
-    fresh = execute_point(point, cache=cache)
-    replay = execute_point(point, cache=cache)
+    fresh = run_point(point, cache=cache)
+    replay = run_point(point, cache=cache)
     assert not fresh.cached and replay.cached
     assert replay.host_seconds == 0.0
     assert fresh.quality == replay.quality
@@ -161,14 +193,10 @@ def test_validate_rejects_bad_specs():
         SweepPoint(circuit="primary1", algorithm="hybrid", nprocs=9).validate()
 
 
-def test_resolve_jobs_precedence(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
+def test_resolve_jobs_precedence():
     assert resolve_jobs(5) == 5
-    assert resolve_jobs() == 3
-    monkeypatch.setenv("REPRO_JOBS", "junk")
     assert resolve_jobs() >= 1
-    monkeypatch.delenv("REPRO_JOBS")
-    assert resolve_jobs() >= 1
+    assert resolve_jobs(0) == resolve_jobs()
 
 
 def test_pool_failure_falls_back_to_inline(monkeypatch):
@@ -180,8 +208,8 @@ def test_pool_failure_falls_back_to_inline(monkeypatch):
     monkeypatch.setattr(
         concurrent.futures.ProcessPoolExecutor, "map", broken_map
     )
-    records = run_sweep([POINT], jobs=4)
-    assert [r.quality for r in records] == [r.quality for r in run_sweep([POINT], jobs=1)]
+    records = sweep_records([POINT], jobs=4)
+    assert [r.quality for r in records] == [r.quality for r in sweep_records([POINT], jobs=1)]
 
 
 def _echo_worker(task):
@@ -206,19 +234,35 @@ def test_pool_fallback_is_logged(monkeypatch, caplog):
     assert any("inline" in rec.message for rec in caplog.records)
 
 
-def _raising_worker(task):
-    raise ValueError("deterministic worker failure")
+_real_execute = engine_mod._execute
 
 
-def test_worker_exception_propagates_not_swallowed():
+def _raising_execute(point, baseline):
+    if point.algorithm != "serial":
+        raise ValueError("deterministic worker failure")
+    return _real_execute(point, baseline)
+
+
+def test_worker_exception_propagates_not_swallowed(monkeypatch, caplog):
     """Regression: ``_map_tasks`` used to catch *every* exception and
     silently rerun the whole batch inline — a deterministic worker
-    failure was masked (and recomputed) instead of surfacing.  Only
-    pool-level failures may trigger the fallback."""
-    tasks = [(POINT, None), (POINT.baseline_point(), None)]
+    failure was masked (and recomputed) instead of surfacing.  A raising
+    point is reported with its own error type after exactly
+    ``max_retries + 1`` attempts; only pool-level failures may trigger
+    the inline fallback."""
+    import logging
+
+    monkeypatch.setattr(engine_mod, "_execute", _raising_execute)
+    points = [POINT, replace(POINT, nprocs=2)]
     for jobs in (1, 2):
-        with pytest.raises(ValueError, match="deterministic worker failure"):
-            engine_mod._map_tasks(tasks, jobs, worker=_raising_worker)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro.exec"):
+            outcome = run_sweep_salvage(points, jobs=jobs, max_retries=1, backoff_s=0.0)
+        assert outcome.records == []  # the shared baseline is not a point
+        assert [f.error_type for f in outcome.failures] == ["ValueError", "ValueError"]
+        assert all(f.attempts == 2 for f in outcome.failures)
+        assert outcome.retries == 2
+        assert not any("inline" in rec.message for rec in caplog.records)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +279,7 @@ STEP_NAMES = {
 
 
 def test_records_carry_step_profiles(tmp_path):
-    record = execute_point(POINT, cache=RunCache(tmp_path / "c"))
+    record = run_point(POINT, cache=RunCache(tmp_path / "c"))
     assert record.profile is not None
     prof = record.run_profile()
     assert STEP_NAMES <= set(prof.steps)
@@ -250,8 +294,8 @@ def test_records_carry_step_profiles(tmp_path):
 
 def test_cached_replay_retains_profile(tmp_path):
     cache = RunCache(tmp_path / "c")
-    first = execute_point(POINT, cache=cache)
-    replay = execute_point(POINT, cache=cache)
+    first = run_point(POINT, cache=cache)
+    replay = run_point(POINT, cache=cache)
     assert replay.cached
     assert replay.profile == first.profile
     assert replay.run_profile().to_dict() == first.run_profile().to_dict()
@@ -259,7 +303,7 @@ def test_cached_replay_retains_profile(tmp_path):
 
 def test_serial_points_profile_without_comm(tmp_path):
     serial = POINT.baseline_point()
-    record = execute_point(serial, cache=RunCache(tmp_path / "c"))
+    record = run_point(serial, cache=RunCache(tmp_path / "c"))
     prof = record.run_profile()
     assert STEP_NAMES <= set(prof.steps)
     assert prof.comm["messages"] == 0
@@ -267,7 +311,7 @@ def test_serial_points_profile_without_comm(tmp_path):
 
 
 def test_profile_model_time_matches_record(tmp_path):
-    record = execute_point(POINT, cache=RunCache(tmp_path / "c"))
+    record = run_point(POINT, cache=RunCache(tmp_path / "c"))
     prof = record.run_profile()
     assert prof.model_time == pytest.approx(record.quality[3])
 
@@ -329,12 +373,10 @@ def test_benign_fault_plan_executes_and_is_observed():
         circuit_seed=1, config=RouterConfig(seed=1),
         fault_plan="message-delay", fault_seed=3,
     )
-    record = execute_point(point, compute_baseline=False)
+    clean, record = sweep_records([point.baseline_point(), point])
     # delays perturb timing, never routed quality (determinism contract)
-    clean = execute_point(
-        point.baseline_point(), compute_baseline=False
-    )
     assert record.result["total_tracks"] == clean.result["total_tracks"]
-    # fresh executions observe per-point host latency into the registry
+    # fresh executions (the point and its baseline) observe per-point
+    # host latency into the registry
     snap = REGISTRY.snapshot()
     assert snap["histograms"]["engine.point_host_ms"]["count"] == 2

@@ -8,7 +8,6 @@ from repro.exec import (
     DEGRADED_EXIT,
     RunCache,
     SweepPoint,
-    run_sweep,
     run_sweep_salvage,
 )
 from repro.faults import CacheIOFault, FaultPlan, PointFault
@@ -24,14 +23,20 @@ HYBRID = SweepPoint(
 )
 
 
-def test_clean_salvage_matches_run_sweep(tmp_path):
-    """Without faults the salvage path is run_sweep plus a ledger."""
+def clean_quality(points):
+    """Quality tuples of the same points swept without faults."""
+    outcome = run_sweep_salvage(points, jobs=1)
+    assert outcome.ok
+    return [r.quality for r in outcome.records]
+
+
+def test_clean_sweep_has_an_empty_ledger(tmp_path):
+    """Without faults a sweep returns every record and an empty ledger."""
     outcome = run_sweep_salvage([SERIAL, HYBRID], jobs=1)
-    plain = run_sweep([SERIAL, HYBRID], jobs=1)
     assert outcome.ok
     assert outcome.exit_code == 0
     assert outcome.retries == 0
-    assert [r.quality for r in outcome.records] == [r.quality for r in plain]
+    assert [r.algorithm for r in outcome.records] == ["serial", "hybrid"]
     assert all(r.attempts == 1 for r in outcome.records)
 
 
@@ -86,9 +91,8 @@ def test_salvaged_results_are_bit_identical_to_clean_runs():
     salvaged = run_sweep_salvage(
         [SERIAL, HYBRID], jobs=1, faults=plan, max_retries=3, backoff_s=0.0
     )
-    clean = run_sweep([SERIAL, HYBRID], jobs=1)
     assert salvaged.ok
-    assert [r.quality for r in salvaged.records] == [r.quality for r in clean]
+    assert [r.quality for r in salvaged.records] == clean_quality([SERIAL, HYBRID])
 
 
 def test_salvage_replays_deterministically():
@@ -127,8 +131,9 @@ def test_max_retries_zero_means_single_attempt():
 def test_injected_cache_read_errors_are_misses(tmp_path):
     plan = FaultPlan(0, (CacheIOFault(op="get", fail_times=1),))
     cache = RunCache(tmp_path / "c", faults=plan)
-    record = run_sweep([SERIAL], jobs=1, cache=cache)[0]
-    assert not record.cached  # the poisoned first read missed
+    outcome = run_sweep_salvage([SERIAL], jobs=1, cache=cache)
+    assert outcome.ok
+    assert not outcome.records[0].cached  # the poisoned first read missed
     # budget spent: a fresh fault-free lookup now hits
     clean_cache = RunCache(tmp_path / "c")
     assert clean_cache.get(SERIAL.key()) is not None
@@ -140,7 +145,7 @@ def test_injected_cache_write_errors_do_not_lose_records(tmp_path):
     outcome = run_sweep_salvage([SERIAL], jobs=1, cache=cache, faults=plan)
     assert outcome.ok  # the record survives even though caching it failed
     assert len(cache) == 0  # nothing was persisted
-    assert outcome.records[0].quality == run_sweep([SERIAL], jobs=1)[0].quality
+    assert [outcome.records[0].quality] == clean_quality([SERIAL])
 
 
 def test_cache_write_error_without_salvage_propagates(tmp_path):
@@ -161,7 +166,7 @@ class TestRetryBackoff:
         from repro.exec import retry_backoff_s
 
         # without the cap, attempt 12 of a 50 ms base would be ~51 s
-        delay = retry_backoff_s(0.05, 12, cap_s=2.0, jitter_key="k")
+        delay = retry_backoff_s(0.05, 12, jitter_key="k")
         assert delay <= 2.0 * 1.5
 
     def test_backoff_is_deterministic_per_key_and_attempt(self):
