@@ -1,27 +1,31 @@
-"""Shared settings for the reproduction benchmarks.
+"""Shared fixtures for the reproduction benchmarks.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
 section and prints it (run pytest with ``-s`` to see them inline; they
-are also asserted structurally).  The circuits are scaled instances of
-the MCNC-like suite — EXPERIMENTS.md records the scale — and the whole
-suite shares one memoized sweep cache, so figure benchmarks reuse their
-table counterparts' routing runs.
+are also asserted structurally).  The grid — circuits, processor counts,
+scale, seed and machine — is the shipped spec,
+``benchmarks/specs/paper_suite.toml``, which EXPERIMENTS.md documents,
+and the whole session shares one run cache, so figure benchmarks replay
+their table counterparts' routing runs.
 """
+
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSettings
-
-#: scale used by every shipped benchmark artifact
-BENCH_SCALE = 0.2
-BENCH_SEED = 1
-
-BENCH_SETTINGS = ExperimentSettings(scale=BENCH_SCALE, seed=BENCH_SEED, procs=(1, 2, 4, 8))
+from repro.analysis.specs import load_spec
+from repro.exec import RunCache
 
 
 @pytest.fixture(scope="session")
-def settings():
-    return BENCH_SETTINGS
+def spec():
+    return load_spec(Path(__file__).parent / "specs" / "paper_suite.toml")
+
+
+@pytest.fixture(scope="session")
+def cache(tmp_path_factory):
+    """The session's run cache, in a temporary directory."""
+    return RunCache(tmp_path_factory.mktemp("runs"))
 
 
 @pytest.fixture(scope="session")

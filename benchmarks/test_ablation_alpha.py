@@ -8,14 +8,12 @@ modeled Steiner work best and yield the best speedups.
 
 from repro.analysis.experiments import run_alpha_ablation
 
-ALPHAS = (0.5, 1.0, 2.0, 3.0)
 
-
-def test_ablation_pin_weight_alpha(benchmark, settings, emit):
+def test_ablation_pin_weight_alpha(benchmark, spec, cache, emit):
     table, runs = benchmark.pedantic(
         run_alpha_ablation,
-        args=(settings,),
-        kwargs={"circuit_name": "avq_large", "nprocs": 8, "alphas": ALPHAS},
+        args=(spec,),
+        kwargs={"cache": cache, "circuit_name": "avq_large", "nprocs": 8},
         rounds=1,
         iterations=1,
     )

@@ -9,11 +9,11 @@ clock net): the pin-number-weight scheme must balance Steiner work best.
 from repro.analysis.experiments import run_net_partition_ablation
 
 
-def test_ablation_net_partition_heuristics(benchmark, settings, emit):
+def test_ablation_net_partition_heuristics(benchmark, spec, cache, emit):
     table, runs = benchmark.pedantic(
         run_net_partition_ablation,
-        args=(settings,),
-        kwargs={"circuit_name": "biomed", "nprocs": 8},
+        args=(spec,),
+        kwargs={"cache": cache, "circuit_name": "biomed", "nprocs": 8},
         rounds=1,
         iterations=1,
     )

@@ -8,21 +8,14 @@ runtime falling monotonically-ish with frequency while quality holds or
 improves.
 """
 
-from dataclasses import replace
-
 from repro.analysis.experiments import run_sync_frequency_ablation
 
-FREQS = (1, 4, 8)
 
-
-def test_ablation_netwise_sync_frequency(benchmark, settings, emit):
-    profile_settings = replace(
-        settings, pconfig=replace(settings.pconfig, switch_sync_mode="profile")
-    )
+def test_ablation_netwise_sync_frequency(benchmark, spec, cache, emit):
     table, runs = benchmark.pedantic(
         run_sync_frequency_ablation,
-        args=(profile_settings,),
-        kwargs={"circuit_name": "biomed", "nprocs": 8, "frequencies": FREQS},
+        args=(spec,),
+        kwargs={"cache": cache, "circuit_name": "biomed", "nprocs": 8},
         rounds=1,
         iterations=1,
     )

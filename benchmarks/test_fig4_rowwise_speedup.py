@@ -8,9 +8,10 @@ every circuit.
 from repro.analysis.experiments import run_speedup_figure
 
 
-def test_fig4_rowwise_speedup(benchmark, settings, emit):
+def test_fig4_rowwise_speedup(benchmark, spec, cache, emit):
     rendered, series = benchmark.pedantic(
-        run_speedup_figure, args=("rowwise", settings), rounds=1, iterations=1
+        run_speedup_figure, args=("rowwise", spec),
+        kwargs={"cache": cache}, rounds=1, iterations=1
     )
     emit(rendered)
 

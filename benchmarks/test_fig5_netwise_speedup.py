@@ -8,17 +8,18 @@ costly synchronization across all the channels.
 from repro.analysis.experiments import run_speedup_figure
 
 
-def test_fig5_netwise_speedup(benchmark, settings, emit):
+def test_fig5_netwise_speedup(benchmark, spec, cache, emit):
     rendered, series = benchmark.pedantic(
-        run_speedup_figure, args=("netwise", settings), rounds=1, iterations=1
+        run_speedup_figure, args=("netwise", spec),
+        kwargs={"cache": cache}, rounds=1, iterations=1
     )
     emit(rendered)
 
     avg = {
         p: sum(v[p] for v in series.values()) / len(series) for p in (2, 4, 8)
     }
-    _, rw = run_speedup_figure("rowwise", settings)
-    _, hy = run_speedup_figure("hybrid", settings)
+    _, rw = run_speedup_figure("rowwise", spec, cache=cache)
+    _, hy = run_speedup_figure("hybrid", spec, cache=cache)
     for p in (2, 4, 8):
         rw_avg = sum(v[p] for v in rw.values()) / len(rw)
         hy_avg = sum(v[p] for v in hy.values()) / len(hy)

@@ -4,9 +4,9 @@ from repro.analysis.experiments import run_circuit_characteristics
 from repro.circuits import mcnc
 
 
-def test_table1_circuit_characteristics(benchmark, settings, emit):
+def test_table1_circuit_characteristics(benchmark, spec, emit):
     table = benchmark.pedantic(
-        run_circuit_characteristics, args=(settings,), rounds=1, iterations=1
+        run_circuit_characteristics, args=(spec,), rounds=1, iterations=1
     )
     emit(table.render())
     assert [row[0] for row in table.rows] == list(mcnc.PAPER_SUITE)

@@ -9,9 +9,10 @@ the 1-processor column is exactly 1.000.
 from repro.analysis.experiments import run_quality_table
 
 
-def test_table2_rowwise_scaled_tracks(benchmark, settings, emit):
+def test_table2_rowwise_scaled_tracks(benchmark, spec, cache, emit):
     table, runs = benchmark.pedantic(
-        run_quality_table, args=("rowwise", settings), rounds=1, iterations=1
+        run_quality_table, args=("rowwise", spec),
+        kwargs={"cache": cache}, rounds=1, iterations=1
     )
     emit(table.render())
 

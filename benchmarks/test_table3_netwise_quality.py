@@ -10,9 +10,10 @@ synchronization.
 from repro.analysis.experiments import run_quality_table
 
 
-def test_table3_netwise_scaled_tracks(benchmark, settings, emit):
+def test_table3_netwise_scaled_tracks(benchmark, spec, cache, emit):
     table, runs = benchmark.pedantic(
-        run_quality_table, args=("netwise", settings), rounds=1, iterations=1
+        run_quality_table, args=("netwise", spec),
+        kwargs={"cache": cache}, rounds=1, iterations=1
     )
     emit(table.render())
 
@@ -24,7 +25,7 @@ def test_table3_netwise_scaled_tracks(benchmark, settings, emit):
     assert avg8 > 1.02, f"netwise avg scaled tracks @8 = {avg8}"
 
     # worst of the three algorithms at 8 processors
-    rw, _ = run_quality_table("rowwise", settings)
-    hy, _ = run_quality_table("hybrid", settings)
+    rw, _ = run_quality_table("rowwise", spec, cache=cache)
+    hy, _ = run_quality_table("hybrid", spec, cache=cache)
     assert avg8 >= rw.rows[-1][-1]
     assert avg8 >= hy.rows[-1][-1]

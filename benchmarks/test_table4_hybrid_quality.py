@@ -9,9 +9,10 @@ worse on 8 processors)".
 from repro.analysis.experiments import run_quality_table
 
 
-def test_table4_hybrid_scaled_tracks(benchmark, settings, emit):
+def test_table4_hybrid_scaled_tracks(benchmark, spec, cache, emit):
     table, runs = benchmark.pedantic(
-        run_quality_table, args=("hybrid", settings), rounds=1, iterations=1
+        run_quality_table, args=("hybrid", spec),
+        kwargs={"cache": cache}, rounds=1, iterations=1
     )
     emit(table.render())
 
@@ -22,7 +23,7 @@ def test_table4_hybrid_scaled_tracks(benchmark, settings, emit):
     assert avg8 < 1.06, f"hybrid avg scaled tracks @8 = {avg8}"
 
     # best quality of the three parallel algorithms
-    rw, _ = run_quality_table("rowwise", settings)
-    nw, _ = run_quality_table("netwise", settings)
+    rw, _ = run_quality_table("rowwise", spec, cache=cache)
+    nw, _ = run_quality_table("netwise", spec, cache=cache)
     assert avg8 <= rw.rows[-1][-1]
     assert avg8 <= nw.rows[-1][-1]

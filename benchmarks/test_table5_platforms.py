@@ -18,11 +18,11 @@ PLATFORMS = (
 )
 
 
-def test_table5_hybrid_across_platforms(benchmark, settings, emit):
+def test_table5_hybrid_across_platforms(benchmark, spec, cache, emit):
     table, runs = benchmark.pedantic(
         run_platform_table,
-        args=(settings,),
-        kwargs={"platforms": PLATFORMS},
+        args=(spec,),
+        kwargs={"cache": cache, "platforms": PLATFORMS},
         rounds=1,
         iterations=1,
     )

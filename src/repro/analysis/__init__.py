@@ -1,9 +1,11 @@
-"""Experiment harness: canned runners and table/figure rendering.
+"""Experiment harness: specs, canned runners and table/figure rendering.
 
-Every table and figure of the paper's evaluation section maps to one
-function here (see DESIGN.md's experiment index); the benchmark suite in
-``benchmarks/`` is a thin wrapper that executes these and prints the
-rendered artifacts.
+An :class:`ExperimentSpec` is the one description of an experiment grid
+(the shipped one is ``benchmarks/specs/paper_suite.toml``, read with
+:func:`load_spec`).  Every table and figure of the paper's evaluation
+section maps to one runner here that takes such a spec (see DESIGN.md's
+experiment index); the benchmark suite in ``benchmarks/`` is a thin
+wrapper that executes these and prints the rendered artifacts.
 """
 
 from repro.analysis.tables import Table, render_table, render_series
@@ -25,8 +27,8 @@ from repro.analysis.records import (
     timing_from_dict,
     compare_results,
 )
+from repro.analysis.specs import ExperimentSpec, load_spec
 from repro.analysis.experiments import (
-    ExperimentSettings,
     run_circuit_characteristics,
     run_quality_table,
     run_speedup_figure,
@@ -40,7 +42,8 @@ __all__ = [
     "Table",
     "render_table",
     "render_series",
-    "ExperimentSettings",
+    "ExperimentSpec",
+    "load_spec",
     "run_circuit_characteristics",
     "run_quality_table",
     "run_speedup_figure",

@@ -1,188 +1,89 @@
 """Canned experiment runners — one per paper table/figure.
 
-Every runner returns a rendered :class:`~repro.analysis.tables.Table`
-(or series) plus the raw records.  All routing goes through the
-execution engine (:mod:`repro.exec`): runs are memoized in-process by
-their content address so that e.g. the Table 2 quality table and the
-Figure 4 speedup figure — which the paper derives from the same runs —
-share one sweep, an optional :class:`~repro.exec.RunCache` persists them
-across invocations, and :func:`prefetch` fans a whole sweep out across
-worker processes before the table runners consume it.
+Every runner reads its grid — circuits, processor counts, scale, seed
+and machine — from an :class:`~repro.analysis.specs.ExperimentSpec`; the
+shipped grid is ``benchmarks/specs/paper_suite.toml``.  A runner builds
+its whole point list, serial baselines included, with
+:meth:`ExperimentSpec.point` and executes it in one
+:func:`~repro.exec.engine.run_sweep_salvage` call, raising when any
+point is lost.  Runners share runs only through an explicit
+:class:`~repro.exec.RunCache` (``cache=``): the Table 2 quality table
+and the Figure 4 speedup figure, which the paper derives from the same
+runs, route once when they are given the same cache.  ``jobs`` fans a
+sweep out across worker processes (default: host cores).
 
-Circuits are generated at ``settings.scale`` of their published size so a
-full sweep stays minutes of pure-Python time; EXPERIMENTS.md records the
-scale each shipped artifact used.
+Every runner returns a rendered :class:`~repro.analysis.tables.Table`
+(or series) plus the raw runs.  Circuits are generated at the spec's
+scale of their published size so a full sweep stays minutes of
+pure-Python time; EXPERIMENTS.md records the scale each shipped artifact
+used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
+from repro.analysis.specs import ExperimentSpec
 from repro.analysis.tables import Table, render_series
 from repro.circuits import mcnc
-from repro.circuits.model import Circuit
 from repro.exec.cache import RunCache
 from repro.exec.engine import SweepPoint, run_sweep_salvage
 from repro.exec.record import RunRecord
 from repro.parallel.driver import ParallelConfig, ParallelRun
-from repro.parallel.partition import partition_nets, partition_summary
-from repro.perfmodel.machine import MACHINES, MachineModel
-from repro.twgr.config import RouterConfig
-from repro.twgr.result import RoutingResult
-
-
-@dataclass(frozen=True, slots=True)
-class ExperimentSettings:
-    """Shared knobs of the reproduction experiments.
-
-    Hashable (machine referenced by name) so sweeps can be memoized.
-    """
-
-    circuits: Tuple[str, ...] = tuple(mcnc.PAPER_SUITE)
-    procs: Tuple[int, ...] = (1, 2, 4, 8)
-    scale: float = 0.12
-    seed: int = 1
-    machine_name: str = "SparcCenter-1000"
-    config: RouterConfig = field(default_factory=lambda: RouterConfig(seed=1))
-    pconfig: ParallelConfig = field(default_factory=ParallelConfig)
-
-    @property
-    def machine(self) -> MachineModel:
-        """The resolved machine model."""
-        return MACHINES[self.machine_name]
-
-    def circuit(self, name: str) -> Circuit:
-        """Generate the named benchmark at these settings."""
-        return mcnc.generate(name, scale=self.scale, seed=self.seed)
-
-
-#: small-and-fast settings for tests
-QUICK = ExperimentSettings(
-    circuits=("primary1", "primary2"), procs=(1, 2, 4), scale=0.05
-)
-
-
-#: in-process memo of executed runs, keyed by SweepPoint content address.
-#: Keying by content hash (not by call arguments) means a serial baseline
-#: is shared across every settings variant that only differs in parallel
-#: knobs — exactly the runs it is valid for.
-_RECORDS: Dict[str, RunRecord] = {}
-
-#: optional on-disk cache consulted by every run (see :func:`set_cache`)
-_CACHE: Optional[RunCache] = None
-
-#: worker processes for :func:`prefetch` (None = engine default)
-_JOBS: Optional[int] = 1
-
-
-def set_cache(cache: Optional[RunCache]) -> None:
-    """Attach (or detach) an on-disk run cache for all experiment runs."""
-    global _CACHE
-    _CACHE = cache
-
-
-def set_jobs(jobs: Optional[int]) -> None:
-    """Worker processes :func:`prefetch` may fan out across."""
-    global _JOBS
-    _JOBS = jobs
-
-
-def _point(
-    settings: ExperimentSettings, algorithm: str, name: str, nprocs: int
-) -> SweepPoint:
-    return SweepPoint(
-        circuit=name,
-        algorithm=algorithm,
-        nprocs=1 if algorithm == "serial" else nprocs,
-        scale=settings.scale,
-        circuit_seed=settings.seed,
-        machine=settings.machine_name,
-        config=settings.config,
-        pconfig=settings.pconfig,
-    )
+from repro.parallel.partition import RowPartition, partition_nets, partition_summary
 
 
 def _sweep(
-    points: Sequence[SweepPoint],
-    jobs: Optional[int] = None,
-    cache: Optional[RunCache] = None,
-) -> List[RunRecord]:
-    """The points' records, memoized with their serial baselines.
+    points: Dict[Hashable, SweepPoint],
+    cache: Optional[RunCache],
+    jobs: Optional[int],
+) -> Dict[Hashable, RunRecord]:
+    """The points' records from one engine sweep, by label.
 
-    Points not yet in the memo run through one engine sweep together
-    with their baselines, so every record the memo holds is one the
-    engine returned.  Raises when any point is lost.
+    Raises when any point is lost.
     """
-    wanted: Dict[str, SweepPoint] = {}
-    for point in points:
-        if point.algorithm != "serial":
-            base = point.baseline_point()
-            wanted.setdefault(base.key(), base)
-        wanted.setdefault(point.key(), point)
-    todo = {key: p for key, p in wanted.items() if key not in _RECORDS}
-    if todo:
-        outcome = run_sweep_salvage(
-            list(todo.values()),
-            jobs=jobs if jobs is not None else _JOBS,
-            cache=cache if cache is not None else _CACHE,
-        )
-        if not outcome.ok:
-            raise RuntimeError(
-                "; ".join(f.describe() for f in outcome.failures)
-            )
-        _RECORDS.update(zip(todo, outcome.records))
-    return [_RECORDS[p.key()] for p in points]
+    outcome = run_sweep_salvage(list(points.values()), jobs=jobs, cache=cache)
+    if not outcome.ok:
+        raise RuntimeError("; ".join(f.describe() for f in outcome.failures))
+    return dict(zip(points, outcome.records))
 
 
-def _baseline(settings: ExperimentSettings, name: str) -> RoutingResult:
-    return _sweep([_point(settings, "serial", name, 1)])[0].routing_result()
-
-
-def _run(
-    settings: ExperimentSettings, algorithm: str, name: str, nprocs: int
-) -> ParallelRun:
-    return _sweep([_point(settings, algorithm, name, nprocs)])[0].parallel_run()
-
-
-def prefetch(
-    settings: ExperimentSettings,
-    algorithms: Sequence[str] = ("rowwise", "netwise", "hybrid"),
-    jobs: Optional[int] = None,
-    cache: Optional[RunCache] = None,
-) -> List[RunRecord]:
-    """Execute the full circuits × algorithms × procs sweep up front.
-
-    Fans out across worker processes (``jobs``, default the module
-    setting) and primes the in-process memo, so the table/figure runners
-    that follow are pure lookups.  Returns the records in sweep order.
-    """
-    points = [
-        _point(settings, algo, name, p)
-        for name in settings.circuits
-        for algo in algorithms
-        for p in settings.procs
-    ]
-    return _sweep(points, jobs=jobs, cache=cache)
-
-
-def clear_cache() -> None:
-    """Drop memoized runs (tests use this between parameter changes)."""
-    _RECORDS.clear()
+def _algorithm_runs(
+    algorithm: str,
+    spec: ExperimentSpec,
+    procs: Sequence[int],
+    cache: Optional[RunCache],
+    jobs: Optional[int],
+) -> Dict[str, Dict[int, ParallelRun]]:
+    """``algorithm`` on every spec circuit at each of ``procs``."""
+    points: Dict[Hashable, SweepPoint] = {}
+    for name in spec.circuits:
+        points[name, "serial"] = spec.point(name, "serial")
+        for p in procs:
+            points[name, p] = spec.point(name, algorithm, p)
+    records = _sweep(points, cache, jobs)
+    return {
+        name: {p: records[name, p].parallel_run() for p in procs}
+        for name in spec.circuits
+    }
 
 
 # ---------------------------------------------------------------------------
 # Table 1 — circuit characteristics
 # ---------------------------------------------------------------------------
 
-def run_circuit_characteristics(settings: ExperimentSettings = ExperimentSettings()) -> Table:
-    """Paper Table 1: rows / pins / cells / nets per test circuit."""
+def run_circuit_characteristics(spec: ExperimentSpec) -> Table:
+    """Paper Table 1: rows / pins / cells / nets per test circuit.
+
+    Only generates circuits, so it takes no cache or jobs.
+    """
     table = Table(
-        title=f"Table 1 — characteristics of test circuits (scale={settings.scale:g})",
+        title=f"Table 1 — characteristics of test circuits (scale={spec.scale:g})",
         columns=["circuit", "rows", "pins", "cells", "nets"],
     )
-    for name in settings.circuits:
-        s = settings.circuit(name).stats()
+    for name in spec.circuits:
+        s = mcnc.generate(name, scale=spec.scale, seed=spec.seed).stats()
         table.add_row(name, s.num_rows, s.num_pins, s.num_cells, s.num_nets)
     return table
 
@@ -192,7 +93,11 @@ def run_circuit_characteristics(settings: ExperimentSettings = ExperimentSetting
 # ---------------------------------------------------------------------------
 
 def run_quality_table(
-    algorithm: str, settings: ExperimentSettings = ExperimentSettings()
+    algorithm: str,
+    spec: ExperimentSpec,
+    *,
+    cache: Optional[RunCache] = None,
+    jobs: Optional[int] = None,
 ) -> Tuple[Table, Dict[str, Dict[int, ParallelRun]]]:
     """Paper Tables 2 (row-wise), 3 (net-wise), 4 (hybrid): track counts of
     the parallel run scaled by the serial run, per processor count."""
@@ -200,17 +105,16 @@ def run_quality_table(
     table = Table(
         title=(
             f"Table {number} — scaled track results of the {algorithm} "
-            f"pin partition algorithm (scale={settings.scale:g})"
+            f"pin partition algorithm (scale={spec.scale:g})"
         ),
-        columns=["circuit"] + [f"{p} proc" for p in settings.procs],
+        columns=["circuit"] + [f"{p} proc" for p in spec.nprocs],
     )
-    runs: Dict[str, Dict[int, ParallelRun]] = {}
-    for name in settings.circuits:
-        runs[name] = {p: _run(settings, algorithm, name, p) for p in settings.procs}
-        table.add_row(name, *[runs[name][p].scaled_tracks for p in settings.procs])
+    runs = _algorithm_runs(algorithm, spec, spec.nprocs, cache, jobs)
+    for name in spec.circuits:
+        table.add_row(name, *[runs[name][p].scaled_tracks for p in spec.nprocs])
     avg = [
-        sum(runs[n][p].scaled_tracks for n in settings.circuits) / len(settings.circuits)
-        for p in settings.procs
+        sum(runs[n][p].scaled_tracks for n in spec.circuits) / len(spec.circuits)
+        for p in spec.nprocs
     ]
     table.add_row("average", *avg)
     return table, runs
@@ -221,21 +125,24 @@ def run_quality_table(
 # ---------------------------------------------------------------------------
 
 def run_speedup_figure(
-    algorithm: str, settings: ExperimentSettings = ExperimentSettings()
+    algorithm: str,
+    spec: ExperimentSpec,
+    *,
+    cache: Optional[RunCache] = None,
+    jobs: Optional[int] = None,
 ) -> Tuple[str, Dict[str, Dict[int, Optional[float]]]]:
     """Paper Figures 4 (row-wise), 5 (net-wise), 6 (hybrid): modeled
     speedups over the serial run per circuit and processor count."""
     number = {"rowwise": 4, "netwise": 5, "hybrid": 6}[algorithm]
-    series: Dict[str, Dict[int, Optional[float]]] = {}
-    for name in settings.circuits:
-        series[name] = {
-            p: _run(settings, algorithm, name, p).speedup
-            for p in settings.procs
-            if p > 1
-        }
+    procs = [p for p in spec.nprocs if p > 1]
+    runs = _algorithm_runs(algorithm, spec, procs, cache, jobs)
+    series = {
+        name: {p: run.speedup for p, run in by_p.items()}
+        for name, by_p in runs.items()
+    }
     rendered = render_series(
         f"Figure {number} — speedup of the {algorithm} pin partition algorithm "
-        f"on {settings.machine_name} (scale={settings.scale:g})",
+        f"on {spec.machine} (scale={spec.scale:g})",
         series,
     )
     return rendered, series
@@ -246,7 +153,10 @@ def run_speedup_figure(
 # ---------------------------------------------------------------------------
 
 def run_platform_table(
-    settings: ExperimentSettings = ExperimentSettings(),
+    spec: ExperimentSpec,
+    *,
+    cache: Optional[RunCache] = None,
+    jobs: Optional[int] = None,
     platforms: Tuple[Tuple[str, Tuple[int, ...]], ...] = (
         ("SparcCenter-1000", (1, 4, 8)),
         ("Intel-Paragon", (1, 4, 16)),
@@ -255,35 +165,51 @@ def run_platform_table(
     """Paper Table 5: hybrid algorithm results (tracks, area, modeled time,
     speedup) on the Sun SparcCenter 1000 SMP and the Intel Paragon DMP.
 
-    On the Paragon the memory gate uses the *full-scale* circuit footprint
-    (32 MB nodes), reproducing the paper's serial "timeout" entries whose
-    speedups are then marked with ``*`` and estimated as proportional to
-    the processor count.
+    Each platform replaces the spec's machine.  On the Paragon the
+    memory gate uses the *full-scale* circuit footprint (32 MB nodes),
+    reproducing the paper's serial "timeout" entries whose speedups are
+    then marked with ``*`` and estimated as proportional to the
+    processor count.
     """
+    circuits = spec.circuits
     table = Table(
-        title=f"Table 5 — hybrid pin partition across platforms (scale={settings.scale:g})",
-        columns=["platform", "procs", "metric"] + list(settings.circuits),
+        title=f"Table 5 — hybrid pin partition across platforms (scale={spec.scale:g})",
+        columns=["platform", "procs", "metric"] + list(circuits),
     )
+    points: Dict[Hashable, SweepPoint] = {}
+    for machine_name, procs in platforms:
+        mspec = replace(spec, machine=machine_name)
+        for name in circuits:
+            points[machine_name, name, 1] = mspec.point(name, "serial")
+            for p in procs:
+                if p > 1:
+                    points[machine_name, name, p] = mspec.point(name, "hybrid", p)
+    records = _sweep(points, cache, jobs)
     all_runs: Dict[str, Dict[str, Dict[int, ParallelRun]]] = {}
     for machine_name, procs in platforms:
-        msettings = replace(settings, machine_name=machine_name)
         runs: Dict[str, Dict[int, ParallelRun]] = {
-            name: {p: _run(msettings, "hybrid", name, p) for p in procs if p > 1}
-            for name in settings.circuits
+            name: {
+                p: records[machine_name, name, p].parallel_run()
+                for p in procs if p > 1
+            }
+            for name in circuits
         }
         all_runs[machine_name] = runs
-        bases = {name: _baseline(msettings, name) for name in settings.circuits}
+        bases = {
+            name: records[machine_name, name, 1].routing_result()
+            for name in circuits
+        }
         table.add_row(
-            machine_name, 1, "tracks", *[bases[n].total_tracks for n in settings.circuits]
+            machine_name, 1, "tracks", *[bases[n].total_tracks for n in circuits]
         )
         table.add_row(
-            machine_name, 1, "area", *[bases[n].area for n in settings.circuits]
+            machine_name, 1, "area", *[bases[n].area for n in circuits]
         )
         table.add_row(
             machine_name, 1, "time (s)",
             *[
                 round(bases[n].model_time, 1) if bases[n].model_time is not None else "timeout"
-                for n in settings.circuits
+                for n in circuits
             ],
         )
         for p in procs:
@@ -291,18 +217,18 @@ def run_platform_table(
                 continue
             table.add_row(
                 machine_name, p, "scaled tracks",
-                *[runs[n][p].scaled_tracks for n in settings.circuits],
+                *[runs[n][p].scaled_tracks for n in circuits],
             )
             table.add_row(
                 machine_name, p, "scaled area",
-                *[runs[n][p].scaled_area for n in settings.circuits],
+                *[runs[n][p].scaled_area for n in circuits],
             )
             table.add_row(
                 machine_name, p, "time (s)",
-                *[round(runs[n][p].result.model_time, 1) for n in settings.circuits],
+                *[round(runs[n][p].result.model_time, 1) for n in circuits],
             )
             speedups = []
-            for n in settings.circuits:
+            for n in circuits:
                 s = runs[n][p].speedup
                 # serial OOM: the paper assumes speedup proportional to p
                 speedups.append(f"{p:.1f}*" if s is None else round(s, 2))
@@ -314,8 +240,30 @@ def run_platform_table(
 # Ablations (§5 design choices)
 # ---------------------------------------------------------------------------
 
+def _variant_runs(
+    spec: ExperimentSpec,
+    algorithm: str,
+    circuit_name: str,
+    nprocs: int,
+    pconfigs: Dict[Hashable, ParallelConfig],
+    cache: Optional[RunCache],
+    jobs: Optional[int],
+) -> Dict[Hashable, ParallelRun]:
+    """One circuit at one processor count under each parallel config."""
+    points: Dict[Hashable, SweepPoint] = {
+        ("serial",): spec.point(circuit_name, "serial")
+    }
+    for label, pconfig in pconfigs.items():
+        points[label] = spec.point(circuit_name, algorithm, nprocs, pconfig=pconfig)
+    records = _sweep(points, cache, jobs)
+    return {label: records[label].parallel_run() for label in pconfigs}
+
+
 def run_net_partition_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
+    spec: ExperimentSpec,
+    *,
+    cache: Optional[RunCache] = None,
+    jobs: Optional[int] = None,
     circuit_name: str = "biomed",
     nprocs: int = 8,
     algorithm: str = "netwise",
@@ -323,28 +271,28 @@ def run_net_partition_ablation(
     """Compare the four §5 net-partition heuristics on one circuit: load
     balance of the partition itself plus quality/speedup of the routed
     result."""
-    circuit = settings.circuit(circuit_name)
-    from repro.parallel.partition import RowPartition
-
+    schemes = ("center", "locus", "density", "pin_weight")
+    runs = _variant_runs(
+        spec, algorithm, circuit_name, nprocs,
+        {s: ParallelConfig(net_scheme=s) for s in schemes}, cache, jobs,
+    )
+    circuit = mcnc.generate(circuit_name, scale=spec.scale, seed=spec.seed)
     row_part = RowPartition.balanced(circuit, nprocs)
     table = Table(
         title=(
             f"Net partition heuristics on {circuit_name} "
-            f"({algorithm}, p={nprocs}, scale={settings.scale:g})"
+            f"({algorithm}, p={nprocs}, scale={spec.scale:g})"
         ),
         columns=[
             "scheme", "pin imbalance", "steiner imbalance",
             "scaled tracks", "speedup",
         ],
     )
-    runs: Dict[str, ParallelRun] = {}
-    for scheme in ("center", "locus", "density", "pin_weight"):
-        s = replace(settings, pconfig=replace(settings.pconfig, net_scheme=scheme))
-        run = _run(s, algorithm, circuit_name, nprocs)
-        runs[scheme] = run
+    for scheme in schemes:
+        run = runs[scheme]
         owner = partition_nets(
             circuit, nprocs, scheme=scheme, row_part=row_part,
-            alpha=settings.pconfig.alpha,
+            alpha=ParallelConfig().alpha,
         )
         summary = partition_summary(circuit, owner, nprocs)
         table.add_row(
@@ -358,33 +306,33 @@ def run_net_partition_ablation(
 
 
 def run_alpha_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
+    spec: ExperimentSpec,
+    *,
+    cache: Optional[RunCache] = None,
+    jobs: Optional[int] = None,
     circuit_name: str = "avq_large",
     nprocs: int = 8,
-    alphas: Tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 3.0),
+    alphas: Tuple[float, ...] = (0.5, 1.0, 2.0, 3.0),
 ) -> Tuple[Table, Dict[float, ParallelRun]]:
     """Sweep the pin-number-weight exponent on an avq.large-like circuit
     (the paper tunes this exponent specifically for AVQ-LARGE's >2000-pin
     clock nets)."""
-    circuit = settings.circuit(circuit_name)
-    from repro.parallel.partition import RowPartition
-
+    runs = _variant_runs(
+        spec, "rowwise", circuit_name, nprocs,
+        {a: ParallelConfig(net_scheme="pin_weight", alpha=a) for a in alphas},
+        cache, jobs,
+    )
+    circuit = mcnc.generate(circuit_name, scale=spec.scale, seed=spec.seed)
     row_part = RowPartition.balanced(circuit, nprocs)
     table = Table(
         title=(
             f"Pin-number-weight alpha sweep on {circuit_name} "
-            f"(rowwise, p={nprocs}, scale={settings.scale:g})"
+            f"(rowwise, p={nprocs}, scale={spec.scale:g})"
         ),
         columns=["alpha", "steiner imbalance", "speedup", "scaled tracks"],
     )
-    runs: Dict[float, ParallelRun] = {}
     for alpha in alphas:
-        s = replace(
-            settings,
-            pconfig=replace(settings.pconfig, net_scheme="pin_weight", alpha=alpha),
-        )
-        run = _run(s, "rowwise", circuit_name, nprocs)
-        runs[alpha] = run
+        run = runs[alpha]
         owner = partition_nets(
             circuit, nprocs, scheme="pin_weight", row_part=row_part, alpha=alpha
         )
@@ -394,33 +342,42 @@ def run_alpha_ablation(
 
 
 def run_sync_frequency_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
+    spec: ExperimentSpec,
+    *,
+    cache: Optional[RunCache] = None,
+    jobs: Optional[int] = None,
     circuit_name: str = "biomed",
     nprocs: int = 8,
-    frequencies: Tuple[int, ...] = (1, 2, 4, 8, 16),
+    frequencies: Tuple[int, ...] = (1, 4, 8),
 ) -> Tuple[Table, Dict[int, ParallelRun]]:
     """Net-wise synchronization frequency vs quality and runtime (paper
     §5/§7.2: "If we synchronize too often, we will lose runtime
-    performance"; too rarely, quality)."""
+    performance"; too rarely, quality).
+
+    Runs in the costly *profile* sync mode, the one that actually
+    controls quality.
+    """
+    runs = _variant_runs(
+        spec, "netwise", circuit_name, nprocs,
+        {
+            f: ParallelConfig(
+                coarse_syncs_per_pass=f,
+                switch_syncs_per_pass=f,
+                switch_sync_mode="profile",
+            )
+            for f in frequencies
+        },
+        cache, jobs,
+    )
     table = Table(
         title=(
             f"Net-wise sync frequency on {circuit_name} "
-            f"(p={nprocs}, scale={settings.scale:g})"
+            f"(p={nprocs}, scale={spec.scale:g})"
         ),
         columns=["syncs/pass", "scaled tracks", "speedup", "comm share"],
     )
-    runs: Dict[int, ParallelRun] = {}
     for freq in frequencies:
-        s = replace(
-            settings,
-            pconfig=replace(
-                settings.pconfig,
-                coarse_syncs_per_pass=freq,
-                switch_syncs_per_pass=freq,
-            ),
-        )
-        run = _run(s, "netwise", circuit_name, nprocs)
-        runs[freq] = run
+        run = runs[freq]
         total = sum(run.timing.rank_times) or 1.0
         comm_share = sum(run.timing.rank_comm) / total
         table.add_row(freq, run.scaled_tracks, run.speedup, comm_share)

@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.tables import Table
 from repro.circuits import mcnc
+from repro.circuits.generator import DEFAULT_SCALE, MAX_SCALE
 from repro.exec.engine import (
     PointFailure,
     SweepOutcome,
@@ -53,6 +54,7 @@ from repro.exec.engine import (
 )
 from repro.exec.cache import RunCache
 from repro.exec.record import RunRecord
+from repro.parallel.driver import ParallelConfig
 from repro.perfmodel.machine import MACHINES
 from repro.twgr.config import RouterConfig
 
@@ -89,7 +91,7 @@ class ExperimentSpec:
     algorithms: Tuple[str, ...] = ("serial",)
     nprocs: Tuple[int, ...] = (1,)
     fault_plans: Tuple[str, ...] = ("none",)
-    scale: float = 0.1
+    scale: float = DEFAULT_SCALE
     seed: int = 1
     machine: str = "SparcCenter-1000"
     fault_seed: int = 1
@@ -145,8 +147,38 @@ class ExperimentSpec:
                     f"spec {self.name!r}: fault plan {plan!r} perturbs the "
                     "sweep engine, not the routed run; use `repro chaos`"
                 )
-        if self.scale <= 0:
-            raise SpecError(f"spec {self.name!r}: scale must be > 0")
+        if not 0 < self.scale <= MAX_SCALE:
+            raise SpecError(
+                f"spec {self.name!r}: scale must be in (0, {MAX_SCALE:g}], "
+                f"got {self.scale!r}"
+            )
+
+    def point(
+        self,
+        circuit: str,
+        algorithm: str,
+        nprocs: int = 1,
+        *,
+        fault_plan: str = "",
+        pconfig: ParallelConfig = ParallelConfig(),
+    ) -> SweepPoint:
+        """The run of one cell at this spec's operating point.
+
+        Serial points ignore ``nprocs``; the router seed is the spec's
+        seed, as in ``repro route``.
+        """
+        return SweepPoint(
+            circuit=circuit,
+            algorithm=algorithm,
+            nprocs=1 if algorithm == "serial" else nprocs,
+            scale=self.scale,
+            circuit_seed=self.seed,
+            machine=self.machine,
+            config=RouterConfig(seed=self.seed),
+            pconfig=pconfig,
+            fault_plan=fault_plan,
+            fault_seed=self.fault_seed,
+        )
 
     def cells(self) -> List[ExperimentCell]:
         """The deduplicated grid, in deterministic axis order."""
@@ -165,16 +197,8 @@ class ExperimentSpec:
                         if ident in seen:
                             continue
                         seen.add(ident)
-                        point = SweepPoint(
-                            circuit=circuit,
-                            algorithm=algorithm,
-                            nprocs=nprocs,
-                            scale=self.scale,
-                            circuit_seed=self.seed,
-                            machine=self.machine,
-                            config=RouterConfig(seed=self.seed),
-                            fault_plan=fault,
-                            fault_seed=self.fault_seed,
+                        point = self.point(
+                            circuit, algorithm, nprocs, fault_plan=fault
                         )
                         coord = {
                             "experiment": self.name,
@@ -250,7 +274,7 @@ def spec_from_dict(data: Any, where: str = "spec") -> ExperimentSpec:
         algorithms=axis("algorithms", ("serial",)),
         nprocs=axis("nprocs", (1,)),
         fault_plans=axis("fault_plans", ("none",)),
-        scale=float(fixed.get("scale", 0.1)),
+        scale=float(fixed.get("scale", DEFAULT_SCALE)),
         seed=int(fixed.get("seed", 1)),
         machine=str(fixed.get("machine", "SparcCenter-1000")),
         fault_seed=int(fixed.get("fault_seed", 1)),

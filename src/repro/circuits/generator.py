@@ -27,6 +27,9 @@ from repro.circuits.validate import validate_circuit
 #: Largest ``scale`` :meth:`SyntheticSpec.scaled` accepts: specs only shrink.
 MAX_SCALE = 1.0
 
+#: Scale used wherever a command, spec or request names none.
+DEFAULT_SCALE = 0.1
+
 
 @dataclass(frozen=True, slots=True)
 class SyntheticSpec:

@@ -11,8 +11,9 @@ Commands
     The paper's core experiment on one circuit: all three algorithms
     across processor counts.
 ``artifact``
-    Regenerate one of the paper's tables/figures (or an ablation) at a
-    chosen scale.
+    Regenerate one of the paper's tables/figures (or an ablation) from
+    an experiment spec (default: the shipped paper grid,
+    ``benchmarks/specs/paper_suite.toml``).
 ``trace``
     Route in parallel while recording communication, then print the
     message timeline and the bytes-sent matrix; ``--chrome``/``--jsonl``
@@ -56,19 +57,27 @@ import argparse
 import logging
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.analysis.records import save_results
 from repro.circuits import mcnc
-from repro.circuits.generator import MAX_SCALE
+from repro.circuits.generator import DEFAULT_SCALE, MAX_SCALE
 from repro.mpi.transports import TRANSPORT_NAMES
 from repro.perfmodel.machine import MACHINES, SPARCCENTER_1000
 from repro.twgr.config import RouterConfig
 
 if TYPE_CHECKING:
+    from repro.analysis.specs import ExperimentSpec
     from repro.exec import RunCache, SweepOutcome, SweepPoint
 
 log = logging.getLogger("repro")
+
+#: the shipped paper grid, resolved from the repository root rather
+#: than the working directory
+PAPER_SUITE_SPEC = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "specs" / "paper_suite.toml"
+)
 
 
 class _StdoutHandler(logging.Handler):
@@ -132,7 +141,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="benchmark name (see `circuits`)",
     )
     parser.add_argument(
-        "--scale", type=_scale, default=0.1, help="size scale factor (default 0.1)"
+        "--scale", type=_scale, default=DEFAULT_SCALE,
+        help=f"size scale factor (default {DEFAULT_SCALE:g})",
     )
     parser.add_argument("--seed", type=int, default=1, help="circuit + router seed")
     parser.add_argument(
@@ -239,8 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
             "ablation-partitions", "ablation-alpha", "ablation-sync",
         ),
     )
-    p_art.add_argument("--scale", type=_scale, default=0.1)
-    p_art.add_argument("--seed", type=int, default=1)
+    p_art.add_argument(
+        "--spec", default=str(PAPER_SUITE_SPEC), metavar="PATH",
+        help="experiment spec naming the grid (default: the shipped "
+        "benchmarks/specs/paper_suite.toml)",
+    )
     _add_engine(p_art)
 
     p_cache = sub.add_parser("cache", help="inspect or clear the run cache")
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "rowwise", "netwise", "hybrid"),
     )
     p_prof.add_argument("--nprocs", type=int, default=8)
-    p_prof.add_argument("--scale", type=_scale, default=0.1)
+    p_prof.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_prof.add_argument("--seed", type=int, default=1)
     p_prof.add_argument(
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES)
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--circuit", type=_circuit, default="primary1",
         help="circuit routed to populate the live registry (default primary1)",
     )
-    p_met.add_argument("--scale", type=_scale, default=0.1)
+    p_met.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_met.add_argument("--seed", type=int, default=1)
     p_met.add_argument(
         "--prefix", default="repro",
@@ -514,60 +527,52 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_spec(path: str) -> Optional["ExperimentSpec"]:
+    """The spec at ``path``, or None after printing why it is unusable.
+
+    ``SpecError`` is a ``ValueError``; so are undecodable bytes and
+    non-numeric ``scale``/``seed`` values.
+    """
+    from repro.analysis.specs import load_spec
+
+    try:
+        return load_spec(path)
+    except (OSError, ValueError) as exc:
+        print(f"spec error: {exc}")
+        return None
+
+
 def cmd_artifact(args: argparse.Namespace) -> int:
-    """Regenerate one paper table/figure or ablation."""
+    """Regenerate one paper table/figure or ablation from a spec.
+
+    Exit codes: 0 on success, 1 for spec errors.
+    """
     from repro.analysis import experiments as ex
 
-    settings = ex.ExperimentSettings(scale=args.scale, seed=args.seed)
-    with _open_cache(args) as cache:
-        ex.set_cache(cache)
-        ex.set_jobs(args.jobs)
-        try:
-            return _render_artifact(args, settings)
-        finally:
-            ex.set_cache(None)
-            ex.set_jobs(1)
-
-
-def _render_artifact(args: argparse.Namespace, settings) -> int:
-    from repro.analysis import experiments as ex
-
+    spec = _load_spec(args.spec)
+    if spec is None:
+        return 1
     name = args.name
-    sweep_algo = {
-        "table2": "rowwise", "table3": "netwise", "table4": "hybrid",
-        "fig4": "rowwise", "fig5": "netwise", "fig6": "hybrid",
-    }.get(name)
-    if sweep_algo is not None:
-        # fan the whole sweep out (and/or replay it from the cache)
-        # before the runner consumes it as pure memo lookups
-        ex.prefetch(settings, algorithms=(sweep_algo,))
     if name == "table1":
-        print(ex.run_circuit_characteristics(settings).render())
-    elif name in ("table2", "table3", "table4"):
-        algo = {"table2": "rowwise", "table3": "netwise", "table4": "hybrid"}[name]
-        table, _ = ex.run_quality_table(algo, settings)
-        print(table.render())
-    elif name in ("fig4", "fig5", "fig6"):
-        algo = {"fig4": "rowwise", "fig5": "netwise", "fig6": "hybrid"}[name]
-        rendered, _ = ex.run_speedup_figure(algo, settings)
-        print(rendered)
-    elif name == "table5":
-        table, _ = ex.run_platform_table(settings)
-        print(table.render())
-    elif name == "ablation-partitions":
-        table, _ = ex.run_net_partition_ablation(settings)
-        print(table.render())
-    elif name == "ablation-alpha":
-        table, _ = ex.run_alpha_ablation(settings)
-        print(table.render())
-    elif name == "ablation-sync":
-        from dataclasses import replace
-
-        profile = replace(
-            settings, pconfig=replace(settings.pconfig, switch_sync_mode="profile")
-        )
-        table, _ = ex.run_sync_frequency_ablation(profile)
-        print(table.render())
+        print(ex.run_circuit_characteristics(spec).render())
+        return 0
+    quality = {"table2": "rowwise", "table3": "netwise", "table4": "hybrid"}
+    figure = {"fig4": "rowwise", "fig5": "netwise", "fig6": "hybrid"}
+    tables = {
+        "table5": ex.run_platform_table,
+        "ablation-partitions": ex.run_net_partition_ablation,
+        "ablation-alpha": ex.run_alpha_ablation,
+        "ablation-sync": ex.run_sync_frequency_ablation,
+    }
+    with _open_cache(args) as cache:
+        kw = {"cache": cache, "jobs": args.jobs}
+        if name in quality:
+            text = ex.run_quality_table(quality[name], spec, **kw)[0].render()
+        elif name in figure:
+            text = ex.run_speedup_figure(figure[name], spec, **kw)[0]
+        else:
+            text = tables[name](spec, **kw)[0].render()
+    print(text)
     return 0
 
 
@@ -977,12 +982,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from repro.analysis.specs import SpecError, load_spec, run_experiment
+    from repro.analysis.specs import run_experiment
 
-    try:
-        spec = load_spec(args.spec)
-    except (SpecError, FileNotFoundError) as exc:
-        print(f"spec error: {exc}")
+    spec = _load_spec(args.spec)
+    if spec is None:
         return 1
     if spec.description:
         log.info("%s — %s", spec.name, spec.description)

@@ -8,7 +8,7 @@ the CLI's::
         "circuit":   "primary1",          # required benchmark name
         "algorithm": "serial",            # serial | rowwise | netwise | hybrid
         "nprocs":    4,                   # ranks (forced to 1 for serial)
-        "scale":     0.1,                 # circuit scale factor
+        "scale":     0.1,                 # circuit scale (DEFAULT_SCALE)
         "seed":      1,                   # circuit + router seed
         "machine":   "SparcCenter-1000",  # performance model
         "transport": "auto",              # SPMD transport
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.circuits.generator import MAX_SCALE
+from repro.circuits.generator import DEFAULT_SCALE, MAX_SCALE
 from repro.exec.engine import SweepPoint
 from repro.twgr.config import RouterConfig
 
@@ -90,7 +90,7 @@ def point_from_request(data: Any) -> SweepPoint:
             f"unknown algorithm {algorithm!r}; choose from {list(ALGORITHMS)}"
         )
     seed = _req_int(data, "seed", 1)
-    scale = _req_float(data, "scale", 0.1)
+    scale = _req_float(data, "scale", DEFAULT_SCALE)
     if not 0.0 < scale <= MAX_SCALE:
         raise ServiceRequestError(
             f"'scale' must be in (0, {MAX_SCALE:g}], got {scale}"

@@ -51,10 +51,31 @@ def test_compare(capsys):
     assert "hybrid" in out and "netwise" in out
 
 
-def test_artifact_table1(capsys):
-    code, out = run(capsys, "artifact", "table1", "--scale", "0.02")
+def test_artifact_table1(capsys, tmp_path):
+    spec = tmp_path / "tiny.toml"
+    spec.write_text(
+        'name = "tiny"\n[grid]\ncircuits = ["primary1", "struct"]\n'
+        "[fixed]\nscale = 0.02\n"
+    )
+    code, out = run(capsys, "artifact", "table1", "--spec", str(spec))
     assert code == 0
-    assert "Table 1" in out
+    assert "Table 1" in out and "(scale=0.02)" in out
+    assert "primary1" in out and "struct" in out
+
+
+@pytest.mark.parametrize(
+    "content", [None, "directory", "[fixed]\nscale = 2.0\n", "[fixed]\nseed = 'abc'\n"]
+)
+def test_artifact_spec_error_exits_1(capsys, tmp_path, content):
+    """A missing, unreadable or invalid spec is reported, not a traceback."""
+    spec = tmp_path / "spec.toml"
+    if content == "directory":
+        spec.mkdir()
+    elif content is not None:
+        spec.write_text('name = "bad"\n' + content)
+    code, out = run(capsys, "artifact", "table2", "--spec", str(spec))
+    assert code == 1
+    assert out.startswith("spec error: ")
 
 
 def test_trace(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from repro.analysis.specs import (
     run_experiment,
     spec_from_dict,
 )
+from repro.circuits import mcnc
+
+SPEC_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "specs"
 
 TOML_SPEC = """
 schema = 1
@@ -112,6 +116,29 @@ def test_validate_rejects_engine_level_fault_plans():
 def test_validate_rejects_nprocs_beyond_machine():
     with pytest.raises(SpecError, match="exceeds"):
         ExperimentSpec(name="x", nprocs=(512,)).validate()
+
+
+def test_validate_checks_scale_against_max_scale():
+    ExperimentSpec(name="x", scale=1.0).validate()
+    for scale in (0.0, -0.1, 1.5):
+        with pytest.raises(SpecError, match=r"scale must be in \(0, 1\]"):
+            ExperimentSpec(name="x", scale=scale).validate()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SPEC_DIR.iterdir()), ids=lambda p: p.name
+)
+def test_every_shipped_spec_loads(path):
+    spec = load_spec(path)
+    spec.validate()
+    assert spec.cells()
+
+
+def test_paper_suite_is_the_paper_grid():
+    spec = load_spec(SPEC_DIR / "paper_suite.toml")
+    assert spec.circuits == tuple(mcnc.PAPER_SUITE)
+    assert spec.nprocs == (1, 2, 4, 8)
+    assert (spec.scale, spec.seed, spec.machine) == (0.2, 1, "SparcCenter-1000")
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,28 @@ scaled circuit suite and assert orderings, not absolute values.
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSettings, clear_cache, run_quality_table, run_speedup_figure
+from repro.analysis.experiments import run_quality_table, run_speedup_figure
+from repro.analysis.specs import ExperimentSpec
+from repro.exec import RunCache
 
-SETTINGS = ExperimentSettings(
-    circuits=("primary2", "biomed"), procs=(1, 2, 8), scale=0.1, seed=1
+SPEC = ExperimentSpec(
+    name="shapes", circuits=("primary2", "biomed"), nprocs=(1, 2, 8),
+    scale=0.1, seed=1,
 )
 
 
 @pytest.fixture(scope="module")
-def results():
-    clear_cache()
+def cache(tmp_path_factory):
+    """One run cache for the module: each figure replays its table's runs."""
+    return RunCache(tmp_path_factory.mktemp("runs"))
+
+
+@pytest.fixture(scope="module")
+def results(cache):
     out = {}
     for algo in ("rowwise", "netwise", "hybrid"):
-        table, runs = run_quality_table(algo, SETTINGS)
-        _, series = run_speedup_figure(algo, SETTINGS)
+        table, runs = run_quality_table(algo, SPEC, cache=cache, jobs=1)
+        _, series = run_speedup_figure(algo, SPEC, cache=cache, jobs=1)
         avg_scaled = table.rows[-1][-1]  # average @ max procs
         avg_speedup = sum(v[8] for v in series.values()) / len(series)
         out[algo] = (avg_scaled, avg_speedup)
@@ -67,8 +75,7 @@ def test_speedups_meaningful(results):
         assert sp > 1.5, algo
 
 
-def test_speedups_scale_with_procs():
-    clear_cache()
-    _, series = run_speedup_figure("hybrid", SETTINGS)
+def test_speedups_scale_with_procs(cache):
+    _, series = run_speedup_figure("hybrid", SPEC, cache=cache, jobs=1)
     for circuit, by_p in series.items():
         assert by_p[8] > by_p[2], circuit
