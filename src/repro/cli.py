@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional
 from repro.analysis.records import save_results
 from repro.circuits import mcnc
 from repro.circuits.generator import DEFAULT_SCALE, MAX_SCALE
-from repro.mpi.transports import TRANSPORT_NAMES
+from repro.mpi.runtime import TRANSPORTS
 from repro.perfmodel.machine import MACHINES, SPARCCENTER_1000
 from repro.twgr.config import RouterConfig
 
@@ -150,9 +150,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="performance model",
     )
     parser.add_argument(
-        "--transport", default="auto", choices=("auto",) + TRANSPORT_NAMES,
-        help="SPMD transport (auto = REPRO_TRANSPORT env, else inprocess; "
-        "bit-identical results either way, only measured times differ)",
+        "--transport", default="inprocess", choices=TRANSPORTS,
+        help="SPMD transport (bit-identical results either way, only "
+        "measured times differ)",
     )
 
 
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine", default=SPARCCENTER_1000.name, choices=sorted(MACHINES)
     )
     p_prof.add_argument(
-        "--transport", default="auto", choices=("auto",) + TRANSPORT_NAMES,
+        "--transport", default="inprocess", choices=TRANSPORTS,
         help="SPMD transport (recorded in the profile when not the "
         "in-process default)",
     )

@@ -37,7 +37,9 @@ from typing import Any, Dict, Optional, Tuple, Union
 #: v2: run records embed a per-step ``profile`` section.
 #: v3: ``RouterConfig.backend`` is gone from point specs and profiles.
 #: v4: ``RouterConfig.strict_kernels`` is gone from point specs.
-CODE_SALT = "repro-exec-v4"
+#: v5: ``RouterConfig.transport`` defaults to ``"inprocess"`` instead of
+#: an environment-resolved value, so a spec names the transport it runs on.
+CODE_SALT = "repro-exec-v5"
 
 #: default cache directory (relative to the current working directory)
 DEFAULT_CACHE_DIR = ".repro_cache"

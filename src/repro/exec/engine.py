@@ -262,10 +262,9 @@ def _execute(point: SweepPoint, baseline: Optional[RoutingResult]) -> RunRecord:
     # stamp the transport only when it is a real-parallelism one: serial
     # points have no transport, and the in-process default stays implicit
     # so profiles recorded before the transport layer stay byte-stable
-    transport = (
-        "" if point.algorithm == "serial"
-        else point.config.resolved_transport()
-    )
+    transport = point.config.transport
+    if point.algorithm == "serial" or transport == "inprocess":
+        transport = ""
     profile = profile_from_tracer(
         tracer,
         circuit=point.circuit,
@@ -274,7 +273,7 @@ def _execute(point: SweepPoint, baseline: Optional[RoutingResult]) -> RunRecord:
         scale=point.scale,
         seed=point.circuit_seed,
         machine=machine,
-        transport="" if transport == "inprocess" else transport,
+        transport=transport,
         model_time=run_result.model_time,
     )
     if point.algorithm == "serial":

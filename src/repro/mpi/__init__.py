@@ -1,8 +1,10 @@
-"""Deterministic in-process message passing with an mpi4py-style surface.
+"""Message passing with an mpi4py-style surface.
 
-The paper implements its routers on MPI; this host has neither MPI nor
-multiple cores, so rank programs here execute as cooperating threads
-inside one process.  The semantics mirror MPI where the algorithms need
+The paper implements its routers on MPI; MPI is not a dependency here,
+so rank programs run on one of two transports: cooperating threads
+inside one process (``inprocess``, the deterministic default) or one OS
+process per rank over pipes (``multiprocess``, for measured wall-clock
+times on real cores).  The semantics mirror MPI where the algorithms need
 them — buffered point-to-point sends matched by ``(source, tag)``, and the
 standard collectives built from point-to-point trees — and every
 communication optionally advances per-rank :class:`~repro.perfmodel.clock.

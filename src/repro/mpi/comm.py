@@ -180,14 +180,13 @@ class Communicator:
         self._check_peer(source)
         if tag < 0:
             raise ValueError("negative tags are reserved for collectives")
-        try_collect = getattr(self._router, "try_collect", None)
-        poll: Optional[Callable[[], Any]] = None
-        if try_collect is not None:
-            def poll() -> Any:
-                item = try_collect(self.rank, source, tag)
-                if item is None:
-                    return _PENDING
-                return self._account_recv(item, source, tag)[0]
+
+        def poll() -> Any:
+            item = self._router.try_collect(self.rank, source, tag)
+            if item is None:
+                return _PENDING
+            return self._account_recv(item, source, tag)[0]
+
         return Request(resolve=lambda: self._fetch(source, tag), poll=poll)
 
     # -- internals shared with collectives --------------------------------

@@ -10,12 +10,16 @@ wall-clock time on real cores: every rank reports its own
 parallel section including process startup (that cost is real; hiding
 it would flatter the speedup).
 
-Semantics parity with :func:`~repro.mpi.runtime.run_inprocess`:
+Semantics parity with :func:`~repro.mpi.runtime.run_inprocess` comes
+from sharing its parts: each rank keeps the same
+:class:`~repro.mpi.runtime._Inbox`, raises the same deadlock error and
+reports into the same failure-report builder.  Only the arrival of bytes
+differs.
 
 * **Matching** — per-``(src, tag)`` FIFO, wildcard-free, MPI_Test-style
   polling via ``try_collect``.  Pipes preserve per-sender order and each
-  rank drains its inbound pipes into a local mailbox, so non-overtaking
-  holds exactly as it does in the shared-mailbox router.
+  rank drains its inbound pipes into its inbox, so non-overtaking holds
+  exactly as it does in the shared-mailbox router.
 * **Faults** — the seeded :class:`~repro.faults.plan.FaultPlan` is
   reconstructed inside every rank process from ``(seed, fault specs)``.
   Since every injection decision is a pure function of ``(seed, rank,
@@ -26,14 +30,14 @@ Semantics parity with :func:`~repro.mpi.runtime.run_inprocess`:
   caller's plan so replay comparisons see one coherent record.
 * **Failure containment** — a crashing rank broadcasts an abort marker
   on every outbound pipe before reporting to the parent; peers raise
-  :class:`~repro.mpi.runtime.RankError` out of their blocking calls, and
-  the parent assembles the same structured
-  :class:`~repro.faults.report.RunFailure` post-mortem (origin rank,
-  step span, per-rank outcomes, undelivered user messages) that the
-  in-process transport produces.  A rank that dies without reporting is
-  recorded as ``ProcessExit``; a rank waiting on a peer that already
-  exited fails fast with :class:`~repro.mpi.runtime.DeadlockError`
-  instead of burning the full timeout.
+  :class:`~repro.mpi.runtime.RankError` out of their blocking calls.
+  Every rank ships its outcome and its undelivered user messages, and
+  the parent assembles the same :class:`~repro.faults.report.RunFailure`
+  post-mortem as the in-process transport, with the lowest crashed rank
+  as the origin.  A rank that dies without reporting is recorded as
+  ``ProcessExit``; a rank waiting on a peer that already exited fails
+  fast with :class:`~repro.mpi.runtime.DeadlockError` instead of burning
+  the full timeout.
 * **Observability** — per-rank span trees, trace events, logical-clock
   state, and message/byte totals are shipped back and merged, so
   profiles and ``repro trace`` output look the same regardless of
@@ -52,14 +56,22 @@ import multiprocessing as mp
 import queue
 import threading
 import time
-from collections import deque
 from multiprocessing.connection import Connection, wait as _conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan, InjectedFault, NULL_FAULT_PLAN
-from repro.faults.report import RankFailure, RunFailure
+from repro.faults.report import RankFailure
 from repro.mpi.comm import Communicator
-from repro.mpi.runtime import DeadlockError, RankError, SpmdResult, _RankObs
+from repro.mpi.runtime import (
+    DeadlockError,
+    RankError,
+    SpmdResult,
+    _crash_record,
+    _deadlock_error,
+    _failure_report,
+    _Inbox,
+    _RankObs,
+)
 from repro.perfmodel.clock import LogicalClock
 from repro.perfmodel.machine import MachineModel
 
@@ -120,12 +132,12 @@ class _Sender(threading.Thread):
 
 
 class _PipeRouter:
-    """One rank's router: pipe channels behind the mailbox interface.
+    """One rank's router: pipe channels in front of its :class:`_Inbox`.
 
     Implements the same ``deliver`` / ``collect`` / ``try_collect``
-    surface as the in-process ``_MailboxRouter``, including held-message
-    (reorder-fault) bookkeeping — but all state is private to the rank's
-    main thread, so no locks are needed on the receive path.
+    surface as the in-process ``_MailboxRouter`` over the same inbox,
+    but the inbox is private to the rank's main thread, so no locks are
+    needed on the receive path.
     """
 
     def __init__(
@@ -145,78 +157,20 @@ class _PipeRouter:
         self._src_of = {conn: src for src, conn in self._readers.items()}
         self._sender = _Sender(rank, writers)
         self._sender.start()
-        # mailbox[(src, tag)] -> deque of (obj, timestamp, nbytes)
-        self._boxes: Dict[Tuple[int, int], deque] = {}
-        # held reorder-fault messages: [release_seq, (src, tag), item]
-        self._held: List[list] = []
-        self._seq = 0
+        self.inbox = _Inbox()
         self._eof: set = set()
         self.aborted: Optional[RankError] = None
         self.message_count = 0
         self.byte_count = 0
 
-    # -- held-message bookkeeping (mirrors _MailboxRouter) ---------------
-    def _release_held(
-        self, key: Optional[Tuple[int, int]] = None,
-        due_seq: Optional[int] = None,
-    ) -> None:
-        if not self._held:
-            return
-        keep: List[list] = []
-        for entry in self._held:
-            release_seq, ekey, item = entry
-            if (key is not None and ekey == key) or (
-                due_seq is not None and release_seq <= due_seq
-            ):
-                self._boxes.setdefault(ekey, deque()).append(item)
-            else:
-                keep.append(entry)
-        self._held = keep
-
-    def _pending_keys(self, user_only: bool = False) -> List[Tuple[int, int]]:
-        keys = [k for k, q in self._boxes.items() if q]
-        keys += [entry[1] for entry in self._held]
-        if user_only:
-            keys = [k for k in keys if k[1] >= 0]
-        return sorted(set(keys))
-
     # -- inbound ---------------------------------------------------------
-    def _ingest(
-        self, src: int, tag: int, obj: Any, timestamp: Optional[float],
-        nbytes: int, hold: int,
-    ) -> None:
-        self._seq += 1
-        seq = self._seq
-        key = (src, tag)
-        if self._held:
-            # non-overtaking: a same-key arrival flushes held ones first
-            self._release_held(key=key)
-        if hold > 0:
-            self._held.append([seq + hold, key, (obj, timestamp, nbytes)])
-            self._release_held(due_seq=seq)
-            return
-        if self._held:
-            self._release_held(due_seq=seq)
-        self._boxes.setdefault(key, deque()).append((obj, timestamp, nbytes))
-
     def _handle(self, msg: Tuple[Any, ...]) -> None:
         if msg[0] == "m":
             _, src, tag, obj, timestamp, nbytes, hold = msg
-            self._ingest(src, tag, obj, timestamp, nbytes, hold)
-        else:  # ("a", origin_rank, errinfo)
-            _, origin, errinfo = msg
-            if self.aborted is None:
-                if errinfo.get("injected"):
-                    original: BaseException = InjectedFault(
-                        errinfo.get("message", "injected fault"),
-                        rank=origin, step=errinfo.get("step"),
-                    )
-                else:
-                    original = RuntimeError(
-                        f"{errinfo.get('error_type', 'RuntimeError')}: "
-                        f"{errinfo.get('message', '')}"
-                    )
-                self.aborted = RankError(origin, original)
+            self.inbox.arrive((src, tag), (obj, timestamp, nbytes), hold)
+        elif self.aborted is None:  # ("a", origin's RankFailure)
+            origin = msg[1]
+            self.aborted = RankError(origin.rank, _synthesize_original(origin))
 
     def _drain(self, timeout: float) -> None:
         conns = list(self._readers.values())
@@ -261,7 +215,7 @@ class _PipeRouter:
             # and shipped with the message for the receiver to apply
             hold = self._faults.deliver_hold(src, dest, tag)
         if dest == self._rank:
-            self._ingest(src, tag, obj, timestamp, nbytes, hold)
+            self.inbox.arrive((src, tag), (obj, timestamp, nbytes), hold)
         else:
             self._sender.post(dest, ("m", src, tag, obj, timestamp, nbytes, hold))
 
@@ -270,54 +224,27 @@ class _PipeRouter:
     ) -> Tuple[Any, Optional[float], int]:
         key = (src, tag)
         deadline: Optional[float] = None
-        start: Optional[float] = None
         while True:
             if self.aborted is not None:
                 raise self.aborted
-            if self._held:
-                # a receiver asking for a held message gets it now:
-                # injected reordering must never deadlock the run
-                self._release_held(key=key)
-            q = self._boxes.get(key)
-            if q:
-                item = q.popleft()
-                if not q:
-                    del self._boxes[key]
+            item = self.inbox.take(key)
+            if item is not None:
                 return item
             now = time.monotonic()
             if deadline is None:
-                start = now
-                deadline = now + self._timeout
+                start, deadline = now, now + self._timeout
             if src in self._eof and src != self._rank:
                 # the sender already exited and everything it wrote has
                 # been drained — this message can never arrive
-                elapsed = now - (start if start is not None else now)
-                pending = self._pending_keys()
-                pretty = (
-                    ", ".join(f"(src={s}, tag={t})" for s, t in pending)
-                    or "none"
-                )
-                raise DeadlockError(
-                    f"rank {dest} waiting for message from rank {src} tag "
-                    f"{tag}, but that rank has exited; undelivered in its "
-                    f"mailbox: {pretty}",
-                    elapsed_s=elapsed,
-                    pending=pending,
+                raise _deadlock_error(
+                    dest, src, tag, now - start, self.inbox.pending(),
+                    f"rank {src} has exited",
                 )
             remaining = deadline - now
             if remaining <= 0:
-                elapsed = now - (start if start is not None else now)
-                pending = self._pending_keys()
-                pretty = (
-                    ", ".join(f"(src={s}, tag={t})" for s, t in pending)
-                    or "none"
-                )
-                raise DeadlockError(
-                    f"rank {dest} waited {elapsed:.2f}s (timeout "
-                    f"{self._timeout}s) for message from rank {src} tag "
-                    f"{tag}; undelivered in its mailbox: {pretty}",
-                    elapsed_s=elapsed,
-                    pending=pending,
+                raise _deadlock_error(
+                    dest, src, tag, now - start, self.inbox.pending(),
+                    f"timeout {self._timeout}s",
                 )
             self._drain(min(remaining, 0.25))
 
@@ -327,22 +254,13 @@ class _PipeRouter:
         self._drain(0.0)
         if self.aborted is not None:
             raise self.aborted
-        key = (src, tag)
-        if self._held:
-            self._release_held(key=key)
-        q = self._boxes.get(key)
-        if not q:
-            return None
-        item = q.popleft()
-        if not q:
-            del self._boxes[key]
-        return item
+        return self.inbox.take((src, tag))
 
     # -- teardown --------------------------------------------------------
-    def broadcast_abort(self, origin: int, errinfo: Dict[str, Any]) -> None:
+    def broadcast_abort(self, origin: RankFailure) -> None:
         for dest in range(self._nprocs):
             if dest != self._rank:
-                self._sender.post(dest, ("a", origin, errinfo))
+                self._sender.post(dest, ("a", origin))
 
     def shutdown(self) -> None:
         self._sender.stop()
@@ -416,49 +334,32 @@ def _child_main(
     )
     robs.bind_clock(clock)
 
-    status = "done"
+    outcome = RankFailure(rank=rank, kind="ok")
     value: Any = None
-    errinfo: Dict[str, Any] = {}
     t_start = time.perf_counter()
     try:
         with robs.span("rank", rank=rank, nprocs=nprocs):
             value = fn(comm, *args, **kwargs)
-    except RankError as err:  # propagated abort from another rank
-        status = "aborted"
-        errinfo = {"origin": err.rank, "pending": router._pending_keys(user_only=True)}
+    except RankError:  # propagated abort from another rank
+        outcome = RankFailure(rank=rank, kind="aborted", error_type="RankError")
     except BaseException as exc:  # noqa: BLE001 - must not hang siblings
-        status = "error"
-        injected = isinstance(exc, InjectedFault)
-        step = robs.current_step
-        if injected and getattr(exc, "step", None) is not None:
-            step = exc.step
-        errinfo = {
-            "step": step,
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "injected": injected,
-            "pending": router._pending_keys(user_only=True),
-        }
-        router.broadcast_abort(rank, errinfo)
+        outcome = _crash_record(rank, exc, robs.current_step)
+        router.broadcast_abort(outcome)
     finally:
         measured_s = time.perf_counter() - t_start
         robs.bind_clock(None)
         router.shutdown()  # flush queued sends before reporting
 
-    fired: List[str] = []
     stream = getattr(faults, "_stream", None)
-    if stream is not None:
-        fired = list(stream(rank).fired)
     report: Dict[str, Any] = {
-        "status": status,
-        "rank": rank,
-        "errinfo": errinfo,
+        "outcome": outcome,
+        "pending": router.inbox.pending(user_only=True),
         "measured_s": measured_s,
-        "fired": fired,
+        "fired": list(stream(rank).fired) if stream is not None else [],
         "message_count": router.message_count,
         "byte_count": router.byte_count,
         "clock": None,
-        "value": value if status == "done" else None,
+        "value": value,
         "spans": [s.to_dict() for s in tracer.roots] if want_obs else [],
         "trace_events": list(recorder.events) if recorder is not None else [],
     }
@@ -470,26 +371,17 @@ def _child_main(
     try:
         result_conn.send(report)
     except Exception as exc:  # value not picklable, or parent gone
+        report.update(
+            outcome=RankFailure(
+                rank=rank,
+                kind="crashed",
+                error_type=type(exc).__name__,
+                message=f"rank result could not be serialized: {exc}",
+            ),
+            clock=None, value=None, spans=[], trace_events=[],
+        )
         try:
-            result_conn.send({
-                "status": "error",
-                "rank": rank,
-                "errinfo": {
-                    "step": None,
-                    "error_type": type(exc).__name__,
-                    "message": f"rank result could not be serialized: {exc}",
-                    "injected": False,
-                    "pending": [],
-                },
-                "measured_s": measured_s,
-                "fired": fired,
-                "message_count": router.message_count,
-                "byte_count": router.byte_count,
-                "clock": None,
-                "value": None,
-                "spans": [],
-                "trace_events": [],
-            })
+            result_conn.send(report)
         except Exception:
             pass
     finally:
@@ -507,14 +399,14 @@ def _restore_clock(
     return clock
 
 
-def _synthesize_original(errinfo: Dict[str, Any], rank: int) -> BaseException:
-    message = errinfo.get("message", "")
-    error_type = errinfo.get("error_type", "RuntimeError")
-    if errinfo.get("injected"):
-        return InjectedFault(message, rank=rank, step=errinfo.get("step"))
-    if error_type == "DeadlockError":
+def _synthesize_original(origin: RankFailure) -> BaseException:
+    """A stand-in for the exception a crashed rank raised in its process."""
+    message = origin.message or ""
+    if origin.injected:
+        return InjectedFault(message, rank=origin.rank, step=origin.step)
+    if origin.error_type == "DeadlockError":
         return DeadlockError(message)
-    return RuntimeError(f"{error_type}: {message}")
+    return RuntimeError(f"{origin.error_type}: {message}")
 
 
 def run_multiprocess(
@@ -535,7 +427,6 @@ def run_multiprocess(
     :func:`~repro.mpi.runtime.run_spmd` with ``transport`` instead of
     calling either runner directly.
     """
-    from repro.obs.metrics import REGISTRY
     from repro.obs.tracer import NULL_TRACER, NullTracer, Span
 
     if nprocs <= 0:
@@ -642,69 +533,29 @@ def run_multiprocess(
             if rep is not None:
                 stream(rank).fired[:] = rep.get("fired", [])
 
-    failed = {
-        rank: rep for rank, rep in reports.items()
-        if rep is None or rep["status"] == "error"
-    }
-    if failed:
-        ranks: List[RankFailure] = []
-        pending: Dict[int, List[Tuple[int, int]]] = {}
-        for rank in range(nprocs):
-            rep = reports.get(rank)
-            if rep is None:
-                exitcode = procs[rank].exitcode
-                ranks.append(RankFailure(
-                    rank=rank,
-                    kind="crashed",
-                    error_type="ProcessExit",
-                    message=(
-                        f"rank {rank} exited without reporting "
-                        f"(exitcode {exitcode})"
-                    ),
-                ))
-            elif rep["status"] == "done":
-                ranks.append(RankFailure(rank=rank, kind="ok"))
-            elif rep["status"] == "error":
-                info = rep["errinfo"]
-                ranks.append(RankFailure(
-                    rank=rank,
-                    kind="crashed",
-                    step=info.get("step"),
-                    error_type=info.get("error_type"),
-                    message=info.get("message"),
-                    injected=bool(info.get("injected")),
-                ))
-                keys = [tuple(k) for k in info.get("pending", [])]
-                if keys:
-                    pending[rank] = keys
-            else:  # aborted: released by another rank's failure
-                ranks.append(RankFailure(
-                    rank=rank, kind="aborted", error_type="RankError"
-                ))
-        origin_rank = min(failed)
-        origin_rec = next(r for r in ranks if r.rank == origin_rank)
-        REGISTRY.counter("spmd.failed_runs").inc()
-        REGISTRY.counter("spmd.rank_failures").inc(
-            sum(1 for r in ranks if r.kind == "crashed")
-        )
-        origin_rep = reports.get(origin_rank)
-        origin_info = origin_rep["errinfo"] if origin_rep is not None else {
-            "error_type": "ProcessExit",
-            "message": origin_rec.message or "",
-            "injected": False,
+    ranks: List[RankFailure] = []
+    for rank in range(nprocs):
+        rep = reports.get(rank)
+        ranks.append(rep["outcome"] if rep is not None else RankFailure(
+            rank=rank,
+            kind="crashed",
+            error_type="ProcessExit",
+            message=(
+                f"rank {rank} exited without reporting "
+                f"(exitcode {procs[rank].exitcode})"
+            ),
+        ))
+    crashed = [r.rank for r in ranks if r.kind == "crashed"]
+    if crashed:
+        # the origin is the lowest failed rank
+        origin = ranks[min(crashed)]
+        pending = {
+            rank: rep["pending"]
+            for rank, rep in sorted(reports.items())
+            if rep is not None and rep["pending"]
         }
-        failure = RunFailure(
-            nprocs=nprocs,
-            failed_rank=origin_rank,
-            step=origin_rec.step,
-            error_type=origin_rec.error_type or "ProcessExit",
-            message=origin_rec.message or "",
-            injected=origin_rec.injected,
-            ranks=ranks,
-            pending=pending,
-        )
-        err = RankError(origin_rank, _synthesize_original(origin_info, origin_rank))
-        err.report = failure
+        err = RankError(origin.rank, _synthesize_original(origin))
+        err.report = _failure_report(ranks, origin.rank, pending)
         raise err
 
     values: List[Any] = [None] * nprocs
@@ -715,14 +566,13 @@ def run_multiprocess(
     adopted: List[Any] = []
     for rank in range(nprocs):
         rep = reports[rank]
-        assert rep is not None  # the failed branch above raised otherwise
-        if rep["status"] == "aborted":
-            # every erroring rank is in `failed`, so a lone "aborted"
-            # here means its origin never materialized — treat as error
-            origin = rep["errinfo"].get("origin", rank)
-            raise RankError(origin, RuntimeError(
-                f"rank {rank} observed an abort from rank {origin} but no "
-                "rank reported a failure"
+        assert rep is not None  # the crashed branch above raised otherwise
+        if ranks[rank].kind == "aborted":
+            # every erroring rank is crashed, so a lone "aborted" here
+            # means its origin never materialized — treat as error
+            raise RankError(rank, RuntimeError(
+                f"rank {rank} observed an abort but no rank reported a "
+                "failure"
             ))
         values[rank] = rep["value"]
         clocks[rank] = _restore_clock(machine, rep["clock"])

@@ -1,17 +1,23 @@
 """SPMD execution of rank programs.
 
 :func:`run_spmd` runs ``nprocs`` ranks of the same function, each with
-its own :class:`~repro.mpi.comm.Communicator`, over one of the
-registered transports (:mod:`repro.mpi.transports`):
+its own :class:`~repro.mpi.comm.Communicator`, over one of the two
+:data:`TRANSPORTS`, named by ``RouterConfig.transport`` or
+``--transport`` (default ``inprocess``):
 
-* ``inprocess`` (default, implemented here by :func:`run_inprocess`) —
-  one thread per rank over an in-process mailbox router.  Threads are
-  not a performance device; they only provide MPI's blocking-receive
-  control flow.  Modeled speedups come from the logical clocks, and the
-  run is fully deterministic — this is the correctness oracle.
+* ``inprocess`` (implemented here by :func:`run_inprocess`) — one
+  thread per rank over an in-process mailbox router.  Threads are not a
+  performance device; they only provide MPI's blocking-receive control
+  flow.  Modeled speedups come from the logical clocks, and the run is
+  fully deterministic — this is the correctness oracle.
 * ``multiprocess`` (:mod:`repro.mpi.multiproc`) — one OS process per
   rank over pipe channels, producing *measured* per-rank wall-clock
   times on real cores with bit-identical routing results.
+
+This module holds everything the two share, so they differ only in how
+bytes arrive: one rank's receive state (:class:`_Inbox`: matching,
+reorder holds, pending listing), the :class:`DeadlockError` message and
+the :class:`~repro.faults.report.RunFailure` assembly.
 
 Both transports fill ``SpmdResult.measured_rank_s`` /
 ``measured_wall_s`` with real ``time.perf_counter`` readings; only the
@@ -19,7 +25,7 @@ multiprocess numbers reflect genuine parallelism (in-process ranks share
 the GIL).
 
 Failure semantics: if any rank raises, the run aborts — pending and
-future receives in other ranks raise :class:`RankError` so no thread
+future receives in other ranks raise :class:`RankError` so no rank
 hangs — and the originating rank's exception is re-raised (wrapped) to
 the caller, carrying a structured
 :class:`~repro.faults.report.RunFailure` post-mortem (originating rank
@@ -46,11 +52,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.plan import NULL_FAULT_PLAN
+from repro.faults.plan import InjectedFault, NULL_FAULT_PLAN
 from repro.faults.report import RankFailure, RunFailure
 from repro.mpi.comm import Communicator
 from repro.perfmodel.clock import LogicalClock
 from repro.perfmodel.machine import MachineModel
+
+#: the SPMD transports :func:`run_spmd` runs on
+TRANSPORTS = ("inprocess", "multiprocess")
 
 
 class RankError(RuntimeError):
@@ -89,35 +98,108 @@ class DeadlockError(RuntimeError):
         self.pending = pending or []
 
 
-class _MailboxRouter:
-    """Shared mailbox state for one SPMD run.
+class _Inbox:
+    """One rank's receive state, shared by both transports' routers.
 
-    One lock guards all mailboxes, but each destination rank waits on its
-    own condition variable, so a delivery wakes only the addressee instead
-    of every blocked rank (``notify_all`` on a single shared condition
-    made every message an all-rank wakeup — quadratic scheduler churn at
-    high rank counts).  Deadlock detection uses a ``time.monotonic()``
-    deadline: only real elapsed time counts, never the number of times the
-    wait happened to wake.
-
-    Fault injection: a :class:`~repro.faults.plan.FaultPlan` may hold a
-    delivered message back (reorder).  Held messages never violate
-    per-``(src, tag)`` FIFO order — a later same-key delivery flushes
-    them first — and are released on demand when their receiver asks, so
-    injected reordering can delay wall-clock progress but can never
-    manufacture a deadlock or change matching.
+    Messages are matched by exact ``(src, tag)`` in per-key FIFO order.
+    A reorder fault may hold a message back until ``hold`` further
+    messages have arrived.  Held messages never violate per-``(src,
+    tag)`` FIFO order (a later same-key arrival flushes them first), and
+    a receiver asking for a held message gets it at once, so injected
+    reordering can delay wall-clock progress but can never manufacture
+    a deadlock or change matching.  The owner does the locking.
     """
 
-    def __init__(self, size: int, faults: Any = NULL_FAULT_PLAN) -> None:
-        self.size = size
+    __slots__ = ("_boxes", "_held", "_seq")
+
+    def __init__(self) -> None:
+        # (src, tag) -> deque of (obj, timestamp, nbytes)
+        self._boxes: Dict[Tuple[int, int], deque] = {}
+        # held reorder-fault messages: [release_seq, (src, tag), item]
+        self._held: List[list] = []
+        self._seq = 0
+
+    def _release(
+        self, key: Optional[Tuple[int, int]] = None,
+        due_seq: Optional[int] = None,
+    ) -> None:
+        keep: List[list] = []
+        for entry in self._held:
+            release_seq, ekey, item = entry
+            if ekey == key or (due_seq is not None and release_seq <= due_seq):
+                self._boxes.setdefault(ekey, deque()).append(item)
+            else:
+                keep.append(entry)
+        self._held = keep
+
+    def arrive(self, key: Tuple[int, int], item: Tuple[Any, ...], hold: int) -> None:
+        """File an arrived message, holding it back ``hold`` arrivals."""
+        self._seq += 1
+        if self._held:
+            # non-overtaking: a same-key arrival flushes held ones first
+            self._release(key=key)
+        if hold > 0:
+            self._held.append([self._seq + hold, key, item])
+        else:
+            self._boxes.setdefault(key, deque()).append(item)
+        if self._held:
+            self._release(due_seq=self._seq)
+
+    def take(self, key: Tuple[int, int]) -> Optional[Tuple[Any, Optional[float], int]]:
+        """The oldest message matching ``key``, or ``None``."""
+        if self._held:
+            # a receiver asking for a held message gets it now:
+            # injected reordering must never deadlock the run
+            self._release(key=key)
+        q = self._boxes.get(key)
+        if not q:
+            return None
+        item = q.popleft()
+        if not q:
+            del self._boxes[key]
+        return item
+
+    def pending(self, user_only: bool = False) -> List[Tuple[int, int]]:
+        """The ``(src, tag)`` pairs delivered or held but not taken."""
+        keys = [k for k, q in self._boxes.items() if q]
+        keys += [entry[1] for entry in self._held]
+        if user_only:
+            keys = [k for k in keys if k[1] >= 0]
+        return sorted(set(keys))
+
+
+def _deadlock_error(
+    dest: int, src: int, tag: int, elapsed: float,
+    pending: List[Tuple[int, int]], reason: str,
+) -> DeadlockError:
+    """The error of a receive whose message will not arrive."""
+    pretty = ", ".join(f"(src={s}, tag={t})" for s, t in pending) or "none"
+    return DeadlockError(
+        f"rank {dest} waited {elapsed:.2f}s ({reason}) for message from "
+        f"rank {src} tag {tag}; undelivered in its mailbox: {pretty}",
+        elapsed_s=elapsed,
+        pending=pending,
+    )
+
+
+class _MailboxRouter:
+    """Shared mailbox state for one in-process SPMD run.
+
+    One lock guards every rank's :class:`_Inbox`, but each destination
+    rank waits on its own condition variable, so a delivery wakes only
+    the addressee instead of every blocked rank (``notify_all`` on a
+    single shared condition made every message an all-rank wakeup —
+    quadratic scheduler churn at high rank counts).  Deadlock detection
+    uses a ``time.monotonic()`` deadline: only real elapsed time counts,
+    never the number of times the wait happened to wake.
+    """
+
+    def __init__(self, size: int, faults: Any, deadlock_timeout: float) -> None:
         self._faults = faults
+        self._timeout = deadlock_timeout
         self._lock = threading.Lock()
         self._conds = [threading.Condition(self._lock) for _ in range(size)]
-        # mailbox[dest][(src, tag)] -> deque of (obj, timestamp, nbytes)
-        self._boxes: List[Dict[Tuple[int, int], deque]] = [dict() for _ in range(size)]
-        # held[dest] -> list of [release_seq, (src, tag), item] (reorder faults)
-        self._held: List[List[list]] = [[] for _ in range(size)]
-        self._deliver_seq = [0] * size
+        self._inboxes = [_Inbox() for _ in range(size)]
         self.aborted: Optional[RankError] = None
         #: per-rank pending user-tag (src, tag) pairs, frozen at abort time
         self.pending_at_abort: Dict[int, List[Tuple[int, int]]] = {}
@@ -125,103 +207,45 @@ class _MailboxRouter:
         self.message_count = 0
         self.byte_count = 0
 
-    # -- held-message bookkeeping (reorder faults; all under self._lock) --
-    def _release_held(
-        self, dest: int, key: Optional[Tuple[int, int]] = None,
-        due_seq: Optional[int] = None,
-    ) -> None:
-        held = self._held[dest]
-        if not held:
-            return
-        keep: List[list] = []
-        released = False
-        for entry in held:
-            release_seq, ekey, item = entry
-            if (key is not None and ekey == key) or (
-                due_seq is not None and release_seq <= due_seq
-            ):
-                self._boxes[dest].setdefault(ekey, deque()).append(item)
-                released = True
-            else:
-                keep.append(entry)
-        if released:
-            self._held[dest] = keep
-            self._conds[dest].notify()
-
-    def _pending_keys(self, dest: int, user_only: bool = False) -> List[Tuple[int, int]]:
-        keys = [k for k, q in self._boxes[dest].items() if q]
-        keys += [entry[1] for entry in self._held[dest]]
-        if user_only:
-            keys = [k for k in keys if k[1] >= 0]
-        return sorted(set(keys))
-
     def deliver(
         self, src: int, dest: int, tag: int, obj: Any, timestamp: Optional[float], nbytes: int
     ) -> None:
         with self._lock:
             if self.aborted is not None:
                 raise self.aborted
-            key = (src, tag)
-            self._deliver_seq[dest] += 1
-            seq = self._deliver_seq[dest]
             self.message_count += 1
             self.byte_count += nbytes
+            hold = 0
             if self._faults is not NULL_FAULT_PLAN:
-                # non-overtaking: a same-key arrival flushes held ones first
-                self._release_held(dest, key=key)
                 hold = self._faults.deliver_hold(src, dest, tag)
-                if hold > 0:
-                    self._held[dest].append([seq + hold, key, (obj, timestamp, nbytes)])
-                    self._release_held(dest, due_seq=seq)
-                    # wake the receiver even though nothing reached its
-                    # box: a blocked collect() must get the chance to
-                    # claim the held message on demand, or a hold across
-                    # a sleeping waiter becomes a timeout
-                    self._conds[dest].notify()
-                    return
-                self._release_held(dest, due_seq=seq)
-            self._boxes[dest].setdefault(key, deque()).append((obj, timestamp, nbytes))
+            self._inboxes[dest].arrive((src, tag), (obj, timestamp, nbytes), hold)
+            # wake the receiver even when the message was held: a blocked
+            # collect() must get the chance to claim it on demand, or a
+            # hold across a sleeping waiter becomes a timeout
             self._conds[dest].notify()
 
     def collect(
-        self, dest: int, src: int, tag: int, timeout: float = 60.0
+        self, dest: int, src: int, tag: int
     ) -> Tuple[Any, Optional[float], int]:
         key = (src, tag)
+        inbox = self._inboxes[dest]
         cond = self._conds[dest]
         deadline: Optional[float] = None
-        start: Optional[float] = None
         with self._lock:
             while True:
                 if self.aborted is not None:
                     raise self.aborted
-                if self._held[dest]:
-                    # a receiver asking for a held message gets it now:
-                    # injected reordering must never deadlock the run
-                    self._release_held(dest, key=key)
-                q = self._boxes[dest].get(key)
-                if q:
-                    item = q.popleft()
-                    if not q:
-                        del self._boxes[dest][key]
+                item = inbox.take(key)
+                if item is not None:
                     return item
                 now = time.monotonic()
                 if deadline is None:
-                    start = now
-                    deadline = now + timeout
+                    start, deadline = now, now + self._timeout
                 remaining = deadline - now
                 if remaining <= 0:
-                    elapsed = now - (start if start is not None else now)
-                    pending = self._pending_keys(dest)
-                    pretty = (
-                        ", ".join(f"(src={s}, tag={t})" for s, t in pending)
-                        or "none"
-                    )
-                    raise DeadlockError(
-                        f"rank {dest} waited {elapsed:.2f}s (timeout "
-                        f"{timeout}s) for message from rank {src} tag {tag}; "
-                        f"undelivered in its mailbox: {pretty}",
-                        elapsed_s=elapsed,
-                        pending=pending,
+                    raise _deadlock_error(
+                        dest, src, tag, now - start, inbox.pending(),
+                        f"timeout {self._timeout}s",
                     )
                 cond.wait(timeout=remaining)
 
@@ -233,19 +257,10 @@ class _MailboxRouter:
         MPI ``MPI_Test`` semantics for :meth:`Request.test`: completes
         the receive when a match is already in the mailbox, never waits.
         """
-        key = (src, tag)
         with self._lock:
             if self.aborted is not None:
                 raise self.aborted
-            if self._held[dest]:
-                self._release_held(dest, key=key)
-            q = self._boxes[dest].get(key)
-            if not q:
-                return None
-            item = q.popleft()
-            if not q:
-                del self._boxes[dest][key]
-            return item
+            return self._inboxes[dest].take((src, tag))
 
     def abort(self, err: RankError) -> None:
         with self._lock:
@@ -255,8 +270,8 @@ class _MailboxRouter:
                 # post-mortem before waiters drain away
                 self.pending_at_abort = {
                     dest: keys
-                    for dest in range(self.size)
-                    if (keys := self._pending_keys(dest, user_only=True))
+                    for dest, inbox in enumerate(self._inboxes)
+                    if (keys := inbox.pending(user_only=True))
                 }
             for cond in self._conds:
                 cond.notify_all()
@@ -330,7 +345,7 @@ class SpmdResult:
     clocks: List[Optional[LogicalClock]]
     message_count: int = 0
     byte_count: int = 0
-    #: transport the run actually executed on (registry name)
+    #: transport the run executed on (one of :data:`TRANSPORTS`)
     transport: str = "inprocess"
     #: measured per-rank wall seconds (rank program entry to exit);
     #: trustworthy as parallel times only on the multiprocess transport
@@ -351,58 +366,56 @@ class SpmdResult:
         return max(times) if times else 0.0
 
 
-def _build_failure_report(
-    nprocs: int,
-    errors: Sequence[Optional[RankError]],
-    rank_obs: Sequence[_RankObs],
-    router: _MailboxRouter,
-    origin: RankError,
+def _crash_record(rank: int, exc: BaseException, step: Optional[str]) -> RankFailure:
+    """The outcome of a rank whose program raised ``exc`` inside ``step``."""
+    injected = isinstance(exc, InjectedFault)
+    if injected and getattr(exc, "step", None) is not None:
+        step = exc.step
+    return RankFailure(
+        rank=rank,
+        kind="crashed",
+        step=step,
+        error_type=type(exc).__name__,
+        message=str(exc),
+        injected=injected,
+    )
+
+
+def _failure_report(
+    ranks: List[RankFailure],
+    origin: int,
+    pending: Dict[int, List[Tuple[int, int]]],
 ) -> RunFailure:
-    """Assemble the structured post-mortem of an aborted run."""
-    from repro.faults.plan import InjectedFault
+    """Assemble the post-mortem of an aborted run from each rank's outcome.
+
+    ``origin`` is the rank the transport holds responsible, and
+    ``pending`` maps ranks to their undelivered user-tag messages.
+    """
     from repro.obs.metrics import REGISTRY
 
-    ranks: List[RankFailure] = []
-    for rank in range(nprocs):
-        err = errors[rank]
-        if err is None:
-            ranks.append(RankFailure(rank=rank, kind="ok"))
-        elif err.rank == rank:
-            injected = isinstance(err.original, InjectedFault)
-            step = rank_obs[rank].current_step
-            if injected and getattr(err.original, "step", None) is not None:
-                step = err.original.step
-            ranks.append(
-                RankFailure(
-                    rank=rank,
-                    kind="crashed",
-                    step=step,
-                    error_type=type(err.original).__name__,
-                    message=str(err.original),
-                    injected=injected,
-                )
-            )
-        else:
-            # released by another rank's abort; step attribution would be
-            # scheduling-dependent, so it is deliberately omitted
-            ranks.append(
-                RankFailure(rank=rank, kind="aborted", error_type="RankError")
-            )
-    origin_rec = next((r for r in ranks if r.rank == origin.rank), None)
+    rec = ranks[origin]
     REGISTRY.counter("spmd.failed_runs").inc()
     REGISTRY.counter("spmd.rank_failures").inc(
         sum(1 for r in ranks if r.kind == "crashed")
     )
     return RunFailure(
-        nprocs=nprocs,
-        failed_rank=origin.rank,
-        step=origin_rec.step if origin_rec is not None else None,
-        error_type=type(origin.original).__name__,
-        message=str(origin.original),
-        injected=bool(origin_rec is not None and origin_rec.injected),
+        nprocs=len(ranks),
+        failed_rank=origin,
+        step=rec.step,
+        error_type=rec.error_type or "",
+        message=rec.message or "",
+        injected=rec.injected,
         ranks=ranks,
-        pending=dict(router.pending_at_abort),
+        pending=pending,
     )
+
+
+def check_transport(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is one of :data:`TRANSPORTS`."""
+    if name not in TRANSPORTS:
+        raise ValueError(
+            f"unknown SPMD transport {name!r} (choose from {TRANSPORTS})"
+        )
 
 
 def run_spmd(
@@ -415,7 +428,7 @@ def run_spmd(
     trace: Optional[Any] = None,
     obs: Optional[Any] = None,
     faults: Optional[Any] = None,
-    transport: Optional[str] = None,
+    transport: str = "inprocess",
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` ranks.
 
@@ -430,17 +443,18 @@ def run_spmd(
     its scheduled failures; on abort, the raised :class:`RankError`
     carries a :class:`~repro.faults.report.RunFailure` report.
 
-    ``transport`` picks the execution substrate by registry name
-    (``None``/``"auto"`` resolve through ``REPRO_TRANSPORT`` to the
-    in-process default).  Every transport honours the same contract —
-    same values, same modeled clocks, same failure reports — so callers
-    never branch on it; they only read the measured times it adds.
+    ``transport`` is one of :data:`TRANSPORTS`.  Both honour the same
+    contract — same values, same modeled clocks, same failure reports —
+    so callers never branch on it; they only read the measured times it
+    adds.
     """
-    from repro.mpi.transports import get_transport, resolve_transport_name
     from repro.obs.metrics import REGISTRY
 
-    resolved = resolve_transport_name(transport)
-    runner = get_transport(resolved)
+    check_transport(transport)
+    if transport == "inprocess":
+        runner = run_inprocess
+    else:
+        from repro.mpi.multiproc import run_multiprocess as runner
     result: SpmdResult = runner(
         nprocs,
         fn,
@@ -452,7 +466,7 @@ def run_spmd(
         obs=obs,
         faults=faults,
     )
-    hist = REGISTRY.histogram(f"spmd.rank_wall_ms.{resolved}")
+    hist = REGISTRY.histogram(f"spmd.rank_wall_ms.{transport}")
     for seconds in result.measured_rank_s:
         hist.observe(seconds * 1e3)
     return result
@@ -471,7 +485,7 @@ def run_inprocess(
 ) -> SpmdResult:
     """The ``inprocess`` transport: one thread per rank, mailbox router.
 
-    This is the deterministic reference implementation every other
+    This is the deterministic reference implementation the multiprocess
     transport is measured against; see the module docstring for the
     semantics it defines.
     """
@@ -483,7 +497,7 @@ def run_inprocess(
     obs = obs if obs is not None else NULL_TRACER
     faults = faults if faults is not None else NULL_FAULT_PLAN
     faults.begin_run(nprocs)
-    router = _MailboxRouter(nprocs, faults=faults)
+    router = _MailboxRouter(nprocs, faults, deadlock_timeout)
     clocks: List[Optional[LogicalClock]] = [
         LogicalClock(machine) if machine is not None else None for _ in range(nprocs)
     ]
@@ -494,30 +508,12 @@ def run_inprocess(
     values: List[Any] = [None] * nprocs
     errors: List[Optional[RankError]] = [None] * nprocs
     rank_obs = [_RankObs(obs, rank, faults) for rank in range(nprocs)]
-
-    class _BoundRouter:
-        """Router view honouring the run's deadlock timeout."""
-
-        def __init__(self, inner: _MailboxRouter) -> None:
-            self._inner = inner
-
-        def deliver(self, *a: Any) -> None:
-            self._inner.deliver(*a)
-
-        def collect(self, dest: int, src: int, tag: int):
-            return self._inner.collect(dest, src, tag, timeout=deadlock_timeout)
-
-        def try_collect(self, dest: int, src: int, tag: int):
-            return self._inner.try_collect(dest, src, tag)
-
-    bound = _BoundRouter(router)
-
     measured = [0.0] * nprocs
 
     def runner(rank: int) -> None:
         robs = rank_obs[rank]
         comm = Communicator(
-            rank, nprocs, bound, clocks[rank], trace=trace, obs=robs,
+            rank, nprocs, router, clocks[rank], trace=trace, obs=robs,
             faults=faults,
         )
         robs.bind_clock(clocks[rank])
@@ -549,12 +545,27 @@ def run_inprocess(
             t.join()
     wall_s = time.perf_counter() - wall_start
 
+    # the origin is the first rank to abort the run
     failure = router.aborted
     if failure is None:
         failure = next((e for e in errors if e is not None), None)
     if failure is not None:
-        failure.report = _build_failure_report(
-            nprocs, errors, rank_obs, router, failure
+        ranks: List[RankFailure] = []
+        for rank, err in enumerate(errors):
+            if err is None:
+                ranks.append(RankFailure(rank=rank, kind="ok"))
+            elif err.rank == rank:
+                ranks.append(
+                    _crash_record(rank, err.original, rank_obs[rank].current_step)
+                )
+            else:
+                # released by another rank's abort; step attribution would
+                # be scheduling-dependent, so it is deliberately omitted
+                ranks.append(
+                    RankFailure(rank=rank, kind="aborted", error_type="RankError")
+                )
+        failure.report = _failure_report(
+            ranks, failure.rank, dict(router.pending_at_abort)
         )
         raise failure
 

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 from repro.circuits.model import Circuit, CircuitStats
 from repro.gcutil import gc_paused
 from repro.mpi.runtime import run_spmd
-from repro.mpi.transports import resolve_transport_name
 from repro.perfmodel.machine import MachineModel, SPARCCENTER_1000
 from repro.perfmodel.memory import estimate_circuit_bytes
 from repro.perfmodel.report import TimingReport
@@ -165,9 +164,9 @@ def route_parallel(
     fault injection (a crash surfaces as
     :class:`~repro.mpi.runtime.RankError` with a containment report).
     ``transport`` overrides ``config.transport`` (``None`` defers to the
-    config, which defers to ``REPRO_TRANSPORT``, which defaults to the
-    deterministic in-process transport).  Results are transport-
-    independent; only the ``measured_*`` timing fields change.
+    config, whose default is the deterministic ``inprocess``).  Results
+    are transport-independent; only the ``measured_*`` timing fields
+    change.
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
@@ -178,10 +177,8 @@ def route_parallel(
     config = config or RouterConfig()
     pconfig = pconfig or ParallelConfig()
     program = _program_for(algorithm)
-    resolved_transport = (
-        config.resolved_transport() if transport is None
-        else resolve_transport_name(transport)
-    )
+    if transport is None:
+        transport = config.transport
 
     # Same rationale as GlobalRouter.route_with_artifacts: the SPMD ranks'
     # working sets are cycle-free, so collector passes mid-run reclaim
@@ -191,7 +188,7 @@ def route_parallel(
     with gc_paused():
         spmd = run_spmd(
             nprocs, program, args=(circuit, config, pconfig), machine=machine,
-            trace=trace, obs=obs, faults=faults, transport=resolved_transport,
+            trace=trace, obs=obs, faults=faults, transport=transport,
         )
     result: RoutingResult = spmd.values[0]
     if result is None:

@@ -11,7 +11,7 @@ the CLI's::
         "scale":     0.1,                 # circuit scale (DEFAULT_SCALE)
         "seed":      1,                   # circuit + router seed
         "machine":   "SparcCenter-1000",  # performance model
-        "transport": "auto",              # SPMD transport
+        "transport": "inprocess",         # inprocess | multiprocess
         "fault_plan": "",                 # named SPMD fault plan ("" = none)
         "fault_seed": 0                   # seed of that plan
     }
@@ -104,7 +104,7 @@ def point_from_request(data: Any) -> SweepPoint:
         machine=_req_str(data, "machine", "SparcCenter-1000"),
         config=RouterConfig(
             seed=seed,
-            transport=_req_str(data, "transport", "auto"),
+            transport=_req_str(data, "transport", "inprocess"),
         ),
         fault_plan=_req_str(data, "fault_plan", ""),
         fault_seed=_req_int(data, "fault_seed", 0),
@@ -129,7 +129,7 @@ def request_from_point(point: SweepPoint) -> Dict[str, Any]:
     }
     if point.algorithm != "serial":
         body["nprocs"] = point.nprocs
-    if point.config.transport != "auto":
+    if point.config.transport != "inprocess":
         body["transport"] = point.config.transport
     if point.fault_plan:
         body["fault_plan"] = point.fault_plan

@@ -41,12 +41,11 @@ class RouterConfig:
     #: needed when feedthrough assignment worked; kept huge)
     skip_row_penalty: int = 10_000
     #: SPMD transport: ``"inprocess"`` (deterministic threads — the test
-    #: oracle), ``"multiprocess"`` (one OS process per rank, measured
-    #: wall-clock times on real cores), or ``"auto"`` (the
-    #: ``REPRO_TRANSPORT`` environment variable, else inprocess).
-    #: Transports are result-identical by contract — this knob only
-    #: changes *how* ranks execute and which measured times exist.
-    transport: str = "auto"
+    #: oracle, and the default) or ``"multiprocess"`` (one OS process per
+    #: rank, measured wall-clock times on real cores).  Transports are
+    #: result-identical by contract — this knob only changes *how* ranks
+    #: execute and which measured times exist.
+    transport: str = "inprocess"
 
     def rng(self, *stream: int) -> np.random.Generator:
         """A deterministic RNG for a named sub-stream.
@@ -72,18 +71,10 @@ class RouterConfig:
             raise ValueError("switch_passes must be >= 0")
         if self.cell_height <= 0 or self.track_pitch <= 0:
             raise ValueError("area model pitches must be positive")
-        # One authority for transport-name validation: the registry.  This
-        # fails fast at config-validation time with the registered-name
-        # list instead of surfacing mid-route.
-        from repro.mpi.transports import resolve_transport_name
+        # fail at config-validation time, not mid-route
+        from repro.mpi.runtime import check_transport
 
-        resolve_transport_name(self.transport)
-
-    def resolved_transport(self) -> str:
-        """The SPMD transport a run under this config will use."""
-        from repro.mpi.transports import resolve_transport_name
-
-        return resolve_transport_name(self.transport)
+        check_transport(self.transport)
 
     def resolved_backend(self) -> str:
         """The congestion core a run under this config uses — always

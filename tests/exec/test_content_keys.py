@@ -49,18 +49,18 @@ POINTS = {
     ),
 }
 
-#: recorded under CODE_SALT "repro-exec-v4"
+#: recorded under CODE_SALT "repro-exec-v5"
 PINNED_KEYS = {
-    "default": "29b976a24154744ab7494a34790c8afdd9dfebb7c836d5b9e9eca8c9b341cadc",
-    "serial": "aa38a146ff14092ed39162673a511c348e07a92a03bdbc7d2dd723144ccb374c",
-    "parallel": "ac2c75d7999a8599218e54b6697bcd1e15d330f331a9955eeed58757a8e0c5f3",
-    "faulted": "6fb40f2873c6e6328f7c0b1260714499792c25867b2b19d714a76747b01af0fa",
-    "configured": "d79f44dba937fa5d3e0df28e0c1430a2d0d2de936ea38df81a2323847f202db4",
+    "default": "603019c11580127d3b394215245f50d6ea0dd73277db350769ca5a2fa34f5588",
+    "serial": "ce28d8e80847f1b97d38df08513ea3f2ae23e9d79a62a2f1afdc7081a5882219",
+    "parallel": "ff99ed92a79b779649b6c7e91f69468e9badf15b70350143b80d9814409360ed",
+    "faulted": "ca3e544dfbb57217225cfa7cc23e14469e7e6ed097685b62b787205bfe6a29d9",
+    "configured": "b47fff727b81da36be42b9e5901fb398fa6f2e0976d0d9fff042b77fa82c5473",
 }
 
 
 def test_table_was_recorded_under_the_current_salt():
-    assert CODE_SALT == "repro-exec-v4", (
+    assert CODE_SALT == "repro-exec-v5", (
         "CODE_SALT changed: re-record PINNED_KEYS under the new salt"
     )
 

@@ -132,6 +132,15 @@ def test_serial_spec_drops_parallel_knobs():
     assert p.spec()["nprocs"] == 1
 
 
+def test_key_names_the_transport_that_runs():
+    # the default point's key must not be shared with a multiprocess run
+    p = SweepPoint(circuit="primary1", algorithm="rowwise", nprocs=2,
+                   scale=0.05, circuit_seed=1, config=CFG)
+    mp = replace(p, config=replace(CFG, transport="multiprocess"))
+    assert p.spec()["config"]["transport"] == "inprocess"
+    assert p.key() != mp.key()
+
+
 # ---------------------------------------------------------------------------
 # cache interaction inside sweeps
 # ---------------------------------------------------------------------------

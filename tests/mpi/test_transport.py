@@ -1,4 +1,4 @@
-"""The multiprocess transport: registry, parity with in-process, faults.
+"""The multiprocess transport: selection, parity with in-process, faults.
 
 Every rank program lives at module level so the suite stays correct
 under the ``spawn`` start method (children must be able to import the
@@ -14,65 +14,54 @@ import numpy as np
 import pytest
 
 from repro.circuits import mcnc
-from repro.faults import make_plan
-from repro.mpi.runtime import RankError, run_spmd
-from repro.mpi.transports import (
-    DEFAULT_TRANSPORT,
-    TRANSPORT_ENV,
-    TRANSPORT_NAMES,
-    get_transport,
-    resolve_transport_name,
+from repro.cli import main
+from repro.faults import (
+    ALL_RANKS,
+    FaultPlan,
+    MessageDelayFault,
+    ReorderFault,
+    make_plan,
 )
+from repro.mpi.runtime import TRANSPORTS, RankError, run_spmd
 from repro.parallel.driver import route_parallel
 from repro.twgr.config import RouterConfig
 from tests.circuits.fingerprint import circuit_fingerprint
 
 
 # ---------------------------------------------------------------------------
-# registry (central transport-name authority)
+# selection: two names, anything else fails fast
 # ---------------------------------------------------------------------------
 
-def test_registry_names_and_factories():
-    assert DEFAULT_TRANSPORT == "inprocess"
-    assert set(TRANSPORT_NAMES) == {"inprocess", "multiprocess"}
-    for name in TRANSPORT_NAMES:
-        assert callable(get_transport(name))
+def _rank_program(comm):
+    return comm.rank
 
 
-def test_resolve_default_env_and_explicit(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV, raising=False)
-    assert resolve_transport_name(None) == "inprocess"
-    assert resolve_transport_name("") == "inprocess"
-    assert resolve_transport_name("auto") == "inprocess"
-    monkeypatch.setenv(TRANSPORT_ENV, "multiprocess")
-    assert resolve_transport_name(None) == "multiprocess"
-    # an explicit name always beats the environment
-    assert resolve_transport_name("inprocess") == "inprocess"
+def _assert_lists_transports(exc_info):
+    message = str(exc_info.value)
+    assert "unknown SPMD transport" in message
+    for name in TRANSPORTS:
+        assert name in message
 
 
-def test_resolve_unknown_fails_fast_listing_names(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV, raising=False)
-    with pytest.raises(ValueError, match="unknown SPMD transport") as exc:
-        resolve_transport_name("mpi")
-    for name in TRANSPORT_NAMES:
-        assert name in str(exc.value)
+def test_resolve_unknown_fails_fast_listing_names(capsys):
+    assert TRANSPORTS == ("inprocess", "multiprocess")
+    for name in ("mpi", "auto"):
+        with pytest.raises(ValueError) as exc:
+            run_spmd(2, _rank_program, transport=name)
+        _assert_lists_transports(exc)
+    with pytest.raises(SystemExit) as exc:
+        main(["route", "--circuit", "primary1", "--transport", "auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
-def test_resolve_names_env_var_for_env_sourced_values(monkeypatch):
-    monkeypatch.setenv(TRANSPORT_ENV, "bogus")
-    with pytest.raises(ValueError, match=TRANSPORT_ENV):
-        resolve_transport_name(None)
-
-
-def test_router_config_carries_transport(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV, raising=False)
+def test_router_config_carries_transport():
+    assert RouterConfig().transport == "inprocess"
     RouterConfig(transport="multiprocess").validate()
-    with pytest.raises(ValueError, match="unknown SPMD transport"):
-        RouterConfig(transport="mpi").validate()
-    assert RouterConfig().resolved_transport() == "inprocess"
-    assert RouterConfig(transport="multiprocess").resolved_transport() == (
-        "multiprocess"
-    )
+    for name in ("mpi", "auto"):
+        with pytest.raises(ValueError) as exc:
+            RouterConfig(transport=name).validate()
+        _assert_lists_transports(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +215,50 @@ def test_silent_process_death_is_contained():
     dead = next(r for r in report.ranks if r.rank == 1)
     assert dead.kind == "crashed"
     assert dead.error_type == "ProcessExit"
+
+
+def _orphan_then_crash_program(comm):
+    if comm.rank == 0:
+        comm.send("orphan", 1, tag=42)
+        raise RuntimeError("die after send")
+    comm.recv(0, tag=99)  # never matched; released by the abort
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_aborted_ranks_report_undelivered_messages(transport):
+    with pytest.raises(RankError) as exc:
+        run_spmd(
+            2, _orphan_then_crash_program, deadlock_timeout=30.0,
+            transport=transport,
+        )
+    report = exc.value.report
+    assert [r.kind for r in report.ranks] == ["crashed", "aborted"]
+    assert report.pending == {1: [(0, 42)]}
+
+
+# ---------------------------------------------------------------------------
+# reorder-fault parity (the shared inbox's hold path, on both transports)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("every", [2, 3, 5])
+def test_reorder_faults_match_across_transports(every):
+    circuit = mcnc.generate("primary1", scale=0.1, seed=1)
+    runs = {}
+    for transport in TRANSPORTS:
+        plan = FaultPlan(9, (
+            ReorderFault(ALL_RANKS, every=every, hold=4),
+            MessageDelayFault(every=2, max_delay_s=0.01),
+        ))
+        run = route_parallel(
+            circuit, algorithm="hybrid", nprocs=3, config=RouterConfig(seed=1),
+            compute_baseline=False, faults=plan, transport=transport,
+        )
+        runs[transport] = run, plan.fired()
+    (ref, ref_fired), (out, out_fired) = runs["inprocess"], runs["multiprocess"]
+    assert out.result.total_tracks == ref.result.total_tracks
+    assert out.result.area == ref.result.area
+    assert out.result.model_time == ref.result.model_time
+    assert out.timing.rank_times == ref.timing.rank_times
+    assert out_fired == ref_fired
+    # the holds really fired, so the pipes' hold path ran
+    assert any(e.startswith("hold#") for log in ref_fired.values() for e in log)

@@ -59,6 +59,7 @@ class TestPointFromRequest:
             {"circuit": "primary1", "fault_plan": "no-such-plan"},
             {"circuit": "primary1", "backend": "fortran"},
             {"circuit": "primary1", "scale": 2.0},  # the generator only shrinks
+            {"circuit": "primary1", "transport": "auto"},  # two names only
         ],
     )
     def test_malformed_bodies_raise_request_error(self, body):
