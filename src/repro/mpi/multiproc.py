@@ -44,20 +44,31 @@ differs.
   transport (child-process metrics counters are the one loss: they live
   in the child's registry and are not merged).
 
-Outbound sends go through a per-rank sender thread with an unbounded
-queue, so a full pipe buffer can never deadlock two ranks that are both
-mid-send (the classic eager-protocol cycle); the main thread keeps
+A send costs its pickle and its write.  The posting thread pickles
+the message at ``send`` (MPI buffered-send semantics: a payload mutated
+afterwards arrives as it was posted) and writes the framed bytes
+straight into the destination's pipe, whose write end is non-blocking.
+Whatever the pipe cannot take goes to that destination's backlog, and
+so do all later messages to it, so every pipe stays FIFO; a per-rank
+sender thread finishes backlogged writes as the pipes drain.  The
+posting thread never blocks on a full pipe, so two ranks that are both
+mid-send cannot deadlock (the classic eager-protocol cycle): each keeps
 draining its inbound pipes whenever it blocks in ``collect``.
 """
 
 from __future__ import annotations
 
+import io
 import multiprocessing as mp
-import queue
+import os
+import select
+import struct
 import threading
 import time
+from collections import deque
 from multiprocessing.connection import Connection, wait as _conn_wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan, InjectedFault, NULL_FAULT_PLAN
 from repro.faults.report import RankFailure
@@ -91,44 +102,104 @@ def _pick_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-class _Sender(threading.Thread):
-    """Flushes outbound messages so pipe backpressure cannot deadlock.
+def _frame(msg: Tuple[Any, ...]) -> memoryview:
+    """``msg`` pickled by ``ForkingPickler`` and framed the way
+    ``Connection.send`` frames it, so readers decode it with
+    ``conn.recv()``.  The pickle is written behind a reserved header
+    slot, so framing copies nothing."""
+    buf = io.BytesIO()
+    buf.write(b"\0\0\0\0")
+    ForkingPickler(buf).dump(msg)
+    frame = buf.getbuffer()
+    size = len(frame) - 4
+    if size > 0x7FFFFFFF:  # send_bytes' extended header
+        return memoryview(struct.pack("!iQ", -1, size) + frame[4:])
+    struct.pack_into("!i", frame, 0, size)
+    return frame
 
-    ``Connection.send`` blocks once the pipe buffer fills; if two ranks
-    block sending to each other neither ever drains, which is exactly
-    the cyclic-buffer deadlock MPI's rendezvous protocol exists to
-    avoid.  Queueing sends through one thread keeps the rank's main
-    thread free to drain its own inbound pipes, so the cycle cannot
-    close.
+
+class _Sender(threading.Thread):
+    """Writes framed messages into non-blocking pipes, in per-pipe order.
+
+    ``post`` runs in the rank's main thread.  When the destination has
+    no backlog it writes the frame itself, and only a remainder the pipe
+    cannot take becomes that destination's backlog; later posts to it
+    queue behind the backlog.  This thread waits for backlogged pipes to
+    become writable and finishes their writes.  The main thread never
+    blocks on a full pipe, so it keeps draining its own inbound pipes
+    and the cyclic-buffer deadlock MPI's rendezvous protocol exists to
+    avoid cannot close.
     """
 
     def __init__(self, rank: int, writers: Dict[int, Connection]) -> None:
         super().__init__(name=f"spmd-sender-{rank}", daemon=True)
-        self._q: "queue.Queue[Optional[Tuple[int, Any]]]" = queue.Queue()
+        for conn in writers.values():
+            os.set_blocking(conn.fileno(), False)
         self._writers = writers
+        self._backlog: Dict[int, Deque[memoryview]] = {}
+        self._lock = threading.Lock()
+        self._wake_r, self._wake_w = os.pipe()
+        self._closing = False
 
-    def post(self, dest: int, payload: Any) -> None:
-        self._q.put((dest, payload))
+    def _write(self, dest: int, frame: memoryview) -> memoryview:
+        """Write what fits of ``frame`` now; return the rest (empty when
+        done).  Caller holds the lock."""
+        conn = self._writers.get(dest)
+        if conn is None:
+            return frame[:0]
+        try:
+            return frame[os.write(conn.fileno(), frame):]
+        except BlockingIOError:
+            return frame
+        except OSError:
+            # peer is gone; its death is reported through the abort / EOF
+            # paths, not by crashing the sender
+            del self._writers[dest]
+            return frame[:0]
+
+    def post(self, dest: int, frame: memoryview) -> None:
+        with self._lock:
+            backlog = self._backlog.get(dest)
+            if backlog is None:
+                frame = self._write(dest, frame)
+                if not frame:
+                    return
+                self._backlog[dest] = backlog = deque()
+                os.write(self._wake_w, b"\0")
+            backlog.append(frame)
+
+    def _flush(self, dest: int) -> None:
+        backlog = self._backlog[dest]
+        while backlog:
+            rest = self._write(dest, backlog[0])
+            if rest:
+                backlog[0] = rest
+                return
+            backlog.popleft()
+        del self._backlog[dest]
 
     def run(self) -> None:
         while True:
-            item = self._q.get()
-            if item is None:
-                return
-            dest, payload = item
-            conn = self._writers.get(dest)
-            if conn is None:
-                continue
-            try:
-                conn.send(payload)
-            except (BrokenPipeError, OSError):
-                # peer is gone; its death is reported through the abort
-                # / EOF paths, not by crashing the sender
-                self._writers.pop(dest, None)
+            with self._lock:
+                if self._closing and not self._backlog:
+                    return
+                fds = {self._writers[d].fileno(): d for d in self._backlog}
+            readable, writable, _ = select.select([self._wake_r], list(fds), [])
+            if readable:
+                os.read(self._wake_r, 4096)
+            with self._lock:
+                for fd in writable:
+                    self._flush(fds[fd])
 
     def stop(self, timeout: float = _SENDER_FLUSH_S) -> None:
-        self._q.put(None)
+        """Finish every backlogged write (up to ``timeout``), then stop."""
+        with self._lock:
+            self._closing = True
+        os.write(self._wake_w, b"\0")
         self.join(timeout)
+        if not self.is_alive():
+            os.close(self._wake_r)
+            os.close(self._wake_w)
 
 
 class _PipeRouter:
@@ -217,7 +288,9 @@ class _PipeRouter:
         if dest == self._rank:
             self.inbox.arrive((src, tag), (obj, timestamp, nbytes), hold)
         else:
-            self._sender.post(dest, ("m", src, tag, obj, timestamp, nbytes, hold))
+            self._sender.post(
+                dest, _frame(("m", src, tag, obj, timestamp, nbytes, hold))
+            )
 
     def collect(
         self, dest: int, src: int, tag: int
@@ -258,9 +331,10 @@ class _PipeRouter:
 
     # -- teardown --------------------------------------------------------
     def broadcast_abort(self, origin: RankFailure) -> None:
+        frame = _frame(("a", origin))
         for dest in range(self._nprocs):
             if dest != self._rank:
-                self._sender.post(dest, ("a", origin))
+                self._sender.post(dest, frame)
 
     def shutdown(self) -> None:
         self._sender.stop()

@@ -19,7 +19,7 @@ from repro.geometry import max_overlap_of
 from repro.grid.channels import ChannelSpan
 from repro.mpi.comm import Communicator, MAX, SUM
 from repro.parallel.partition import RowPartition
-from repro.steiner.tree import NetTree, build_net_tree
+from repro.steiner.tree import NetTree, TreeSet, build_net_tree
 from repro.twgr.config import RouterConfig
 from repro.twgr.connect import ConnectStats
 from repro.twgr.result import RoutingResult
@@ -42,11 +42,12 @@ def build_trees_parallel(
 ) -> Dict[int, NetTree]:
     """Step 1 in parallel: every rank builds its owned nets' trees, then an
     allgather gives everyone the full tree set (needed for fake-pin
-    placement and segment ownership)."""
+    placement and segment ownership).  Each rank's share travels as a
+    :class:`TreeSet`, which pickles as flat arrays."""
     # every rank scanned all pins (row partition) and all nets (the net
     # partition heuristic) before getting here — replicated work
     comm.counter.add("setup", len(circuit.pins) + len(circuit.nets))
-    mine: Dict[int, NetTree] = {}
+    mine = TreeSet()
     for net in circuit.nets:
         if int(owner[net.id]) == comm.rank:
             mine[net.id] = build_net_tree(

@@ -15,7 +15,9 @@ segment is later bent into one of two L shapes by the coarse router
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.geometry import Point, Segment, manhattan
@@ -77,6 +79,50 @@ class NetTree:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == n
+
+
+class TreeSet(dict):
+    """A ``{net id: NetTree}`` dict that pickles as flat integer arrays.
+
+    Pickling a plain dict of trees makes a Python-level call per
+    :class:`~repro.geometry.Point` and per tree; this packs the keys,
+    net ids, terminal counts, per-tree point and edge counts, and all
+    coordinates and edge endpoints into seven ``array('q')`` buffers and
+    decodes them into trees equal to the originals.  It is still a
+    ``dict``, so :func:`~repro.mpi.sizes.estimate_size` charges it like
+    one, and code that never pickles it never pays for the encoding.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        trees = self.values()
+        return (_decode_tree_set, (
+            array("q", self),
+            array("q", [t.net for t in trees]),
+            array("q", [t.num_terminals for t in trees]),
+            array("q", [len(t.points) for t in trees]),
+            array("q", [len(t.edges) for t in trees]),
+            array("q", chain.from_iterable(chain.from_iterable(t.points for t in trees))),
+            array("q", chain.from_iterable(chain.from_iterable(t.edges for t in trees))),
+        ))
+
+
+def _decode_tree_set(
+    keys: array, nets: array, terminals: array, npoints: array,
+    nedges: array, coords: array, ends: array,
+) -> TreeSet:
+    # tuple.__new__ builds each Point in C, skipping Point's Python-level
+    # constructor
+    points = list(map(tuple.__new__, repeat(Point), zip(coords[0::2], coords[1::2])))
+    edges = list(zip(ends[0::2], ends[1::2]))
+    out = TreeSet()
+    p = e = 0
+    for key, net, nt, npts, ne in zip(keys, nets, terminals, npoints, nedges):
+        out[key] = NetTree(net, points[p:p + npts], edges[e:e + ne], nt)
+        p += npts
+        e += ne
+    return out
 
 
 def build_net_tree(

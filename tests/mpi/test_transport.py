@@ -9,6 +9,7 @@ where available.
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from repro.faults import (
     ReorderFault,
     make_plan,
 )
+from repro.geometry import Point
 from repro.mpi.runtime import TRANSPORTS, RankError, run_spmd
+from repro.mpi.trace import TraceRecorder
 from repro.parallel.driver import route_parallel
+from repro.steiner.tree import TreeSet, build_net_tree
 from repro.twgr.config import RouterConfig
 from tests.circuits.fingerprint import circuit_fingerprint
 
@@ -112,20 +116,113 @@ def test_point_to_point_parity(nprocs):
 
 
 # ---------------------------------------------------------------------------
+# messages larger than a pipe buffer (64 KiB on Linux)
+# ---------------------------------------------------------------------------
+
+def _big_payload(rank, nbytes):
+    return bytes([rank]) + bytes(range(256)) * (nbytes // 256)
+
+
+def _big_sendrecv_program(comm):
+    """Both ranks send 1 MiB to each other at once."""
+    return comm.sendrecv(_big_payload(comm.rank, 1 << 20), 1 - comm.rank, tag=3)
+
+
+def _big_ring_program(comm):
+    """Every rank sends 512 KiB to its right neighbour, then receives.
+
+    A small message follows the large one on the same pipe, so it must
+    queue behind the large one's unwritten remainder.
+    """
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    comm.send(_big_payload(comm.rank, 1 << 19), right, tag=4)
+    comm.send(("after", comm.rank), right, tag=4)
+    return comm.recv(left, tag=4), comm.recv(left, tag=4)
+
+
+@pytest.mark.parametrize(
+    "nprocs, program", [(2, _big_sendrecv_program), (3, _big_ring_program)]
+)
+def test_large_concurrent_sends_do_not_deadlock(nprocs, program):
+    ref = run_spmd(nprocs, program, transport="inprocess")
+    out = run_spmd(nprocs, program, transport="multiprocess", deadlock_timeout=30.0)
+    assert out.values == ref.values
+    assert out.message_count == ref.message_count
+    assert out.byte_count == ref.byte_count
+
+
+def _stream(rank):
+    """24 messages from ``rank``; every third is larger than a pipe buffer."""
+    return [
+        (i, _big_payload(rank, 1 << 17 if i % 3 == 0 else 64)) for i in range(24)
+    ]
+
+
+def _stream_ring_program(comm):
+    # frequent thread switches make the main thread's posts and the
+    # sender thread's backlog flushes interleave as finely as they can
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for msg in _stream(comm.rank):
+            comm.send(msg, (comm.rank + 1) % comm.size, tag=6)
+        return [comm.recv((comm.rank - 1) % comm.size, tag=6) for _ in range(24)]
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_interleaved_sends_keep_pipe_order():
+    out = run_spmd(3, _stream_ring_program, transport="multiprocess",
+                   deadlock_timeout=30.0)
+    assert out.values == [_stream((rank - 1) % 3) for rank in range(3)]
+
+
+def _posted_trees():
+    return TreeSet(
+        (net, build_net_tree(net, [Point(net, 0), Point(net + 5, 3), Point(2, 7)]))
+        for net in range(200)
+    )
+
+
+def _mutate_after_send_program(comm):
+    if comm.rank == 0:
+        trees = _posted_trees()
+        comm.send(trees, 1, tag=5)
+        # buffered-send semantics: what was posted is what arrives
+        trees.pop(0)
+        trees[1].points.append(Point(-1, -1))
+        trees[2] = trees[3]
+        return None
+    return comm.recv(0, tag=5)
+
+
+def test_payload_mutated_after_send_arrives_as_posted():
+    out = run_spmd(2, _mutate_after_send_program, transport="multiprocess")
+    assert out.values[1] == _posted_trees()
+
+
+# ---------------------------------------------------------------------------
 # routing parity (the drivers run unmodified; results are bit-identical)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("algorithm", ["rowwise", "netwise", "hybrid"])
-def test_routing_parity_across_transports(algorithm):
-    circuit = mcnc.generate("primary1", scale=0.1, seed=1)
+@pytest.mark.parametrize("name, scale, algorithm", [
+    pytest.param("primary1", 0.1, "rowwise", id="rowwise"),
+    pytest.param("primary1", 0.1, "netwise", id="netwise"),
+    pytest.param("primary1", 0.1, "hybrid", id="hybrid"),
+    # full size: the step-1 tree bcast is larger than a pipe buffer
+    pytest.param("struct", 1.0, "hybrid", id="struct-full-hybrid"),
+])
+def test_routing_parity_across_transports(name, scale, algorithm):
+    circuit = mcnc.generate(name, scale=scale, seed=1)
     config = RouterConfig(seed=1)
-    runs = {
-        transport: route_parallel(
+    runs, traces = {}, {}
+    for transport in ("inprocess", "multiprocess"):
+        traces[transport] = TraceRecorder()
+        runs[transport] = route_parallel(
             circuit, algorithm=algorithm, nprocs=2, config=config,
             compute_baseline=False, transport=transport,
+            trace=traces[transport],
         )
-        for transport in ("inprocess", "multiprocess")
-    }
     ref, out = runs["inprocess"], runs["multiprocess"]
     assert out.result.total_tracks == ref.result.total_tracks
     assert out.result.channel_tracks == ref.result.channel_tracks
@@ -134,6 +231,15 @@ def test_routing_parity_across_transports(algorithm):
     # the modeled logical clocks must agree exactly, transport or not
     assert out.result.model_time == ref.result.model_time
     assert out.timing.rank_times == ref.timing.rank_times
+    # same messages with the same modeled sizes
+    sends = {
+        transport: sorted(
+            (e.rank, e.peer, e.tag, e.nbytes)
+            for e in trace.events if e.kind == "send"
+        )
+        for transport, trace in traces.items()
+    }
+    assert sends["multiprocess"] == sends["inprocess"]
 
 
 @pytest.mark.parametrize("name", ["primary1", "struct"])
