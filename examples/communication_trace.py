@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Inspect the communication structure of a parallel routing run.
 
-Attaches a trace recorder to a hybrid routing run and prints the
-per-rank message timeline plus the bytes-sent matrix — the hybrid
-algorithm's two personalized all-to-alls (terminals out, spans back) and
-the boundary-channel exchanges between row-adjacent ranks are clearly
+Traces a hybrid routing run with the span tracer and prints the per-rank
+message timeline plus the bytes-sent matrix — the hybrid algorithm's two
+personalized all-to-alls (terminals out, spans back) and the
+boundary-channel exchanges between row-adjacent ranks are clearly
 visible.
 
 Run:  python examples/communication_trace.py [algorithm] [nprocs]
@@ -13,7 +13,8 @@ Run:  python examples/communication_trace.py [algorithm] [nprocs]
 import sys
 
 from repro import RouterConfig, SPARCCENTER_1000, mcnc, route_parallel
-from repro.mpi import TraceRecorder
+from repro.mpi import trace
+from repro.obs import Tracer
 
 
 def main() -> None:
@@ -21,24 +22,24 @@ def main() -> None:
     nprocs = int(sys.argv[2]) if len(sys.argv) > 2 else 4
 
     circuit = mcnc.generate("primary2", scale=0.1, seed=1)
-    recorder = TraceRecorder()
+    tracer = Tracer()
     run = route_parallel(
         circuit, algorithm=algorithm, nprocs=nprocs,
         machine=SPARCCENTER_1000, config=RouterConfig(seed=1),
-        compute_baseline=False, trace=recorder,
+        compute_baseline=False, obs=tracer,
     )
 
     print(run.result.summary())
     print(
-        f"\n{recorder.total_messages():,} messages, "
-        f"{recorder.total_bytes():,} bytes total\n"
+        f"\n{trace.total_messages(tracer):,} messages, "
+        f"{trace.total_bytes(tracer):,} bytes total\n"
     )
-    print(recorder.render_timeline(nprocs))
+    print(trace.render_timeline(tracer, nprocs))
     print()
-    print(recorder.render_matrix(nprocs))
+    print(trace.render_matrix(tracer, nprocs))
 
     # heaviest communication pairs
-    pairs = sorted(recorder.bytes_by_pair().items(), key=lambda kv: -kv[1])[:5]
+    pairs = sorted(trace.bytes_by_pair(tracer).items(), key=lambda kv: -kv[1])[:5]
     print("\nheaviest pairs:")
     for (src, dst), nbytes in pairs:
         print(f"  rank {src} -> rank {dst}: {nbytes:,} bytes")

@@ -600,8 +600,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Route with trace recorder + span tracer; render/export the traces."""
-    from repro.mpi.trace import TraceRecorder
+    """Route with the span tracer; render/export its spans and comm events."""
+    from repro.mpi import trace
     from repro.obs import Tracer, render_flamegraph, write_chrome_trace, write_jsonl
     from repro.parallel.driver import route_parallel
 
@@ -610,31 +610,29 @@ def cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed, transport=args.transport
     )
     machine = MACHINES[args.machine]
-    recorder = TraceRecorder()
     tracer = Tracer()
     run = route_parallel(
         circuit, algorithm=args.algorithm, nprocs=args.nprocs,
-        machine=machine, config=config, compute_baseline=False,
-        trace=recorder, obs=tracer,
+        machine=machine, config=config, compute_baseline=False, obs=tracer,
     )
     print(run.result.summary())
-    colls = recorder.collectives_by_op()
+    colls = trace.collectives_by_op(tracer)
     coll_text = ", ".join(f"{op}×{n}" for op, n in sorted(colls.items())) or "none"
     print(
-        f"messages: {recorder.total_messages():,}, "
-        f"bytes: {recorder.total_bytes():,}, collectives: {coll_text}\n"
+        f"messages: {trace.total_messages(tracer):,}, "
+        f"bytes: {trace.total_bytes(tracer):,}, collectives: {coll_text}\n"
     )
-    print(recorder.render_timeline(args.nprocs))
+    print(trace.render_timeline(tracer, args.nprocs))
     print()
-    print(recorder.render_matrix(args.nprocs))
+    print(trace.render_matrix(tracer, args.nprocs))
     if args.flame:
         print()
         print(render_flamegraph(tracer))
     if args.chrome:
-        write_chrome_trace(args.chrome, tracer, recorder)
+        write_chrome_trace(args.chrome, tracer)
         print(f"chrome trace written to {args.chrome}")
     if args.jsonl:
-        write_jsonl(args.jsonl, tracer, recorder)
+        write_jsonl(args.jsonl, tracer)
         print(f"jsonl trace written to {args.jsonl}")
     return 0
 

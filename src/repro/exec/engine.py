@@ -478,6 +478,21 @@ def _run_tasks(
     return results, retries
 
 
+def _with_measured_serial(payload: Dict[str, Any], serial_s: float) -> Dict[str, Any]:
+    """``payload`` with its timing's ``measured_serial_s`` set.
+
+    Only for a baseline routed in the same sweep call as the parallel
+    point: a cached baseline's host seconds belong to another window, so
+    it leaves the measured speedup unset.  The timing codec keeps the
+    field only for real-parallelism transports.
+    """
+    from repro.analysis.records import timing_from_dict, timing_to_dict
+
+    timing = timing_from_dict(payload["timing"])
+    timing.measured_serial_s = serial_s
+    return {**payload, "timing": timing_to_dict(timing)}
+
+
 def run_sweep_salvage(
     points: Sequence[SweepPoint],
     jobs: Optional[int] = None,
@@ -540,6 +555,10 @@ def run_sweep_salvage(
             if isinstance(out, PointFailure):
                 lost[key] = out
                 continue
+            # a parallel point whose baseline this call routed (phase 1)
+            base = records.get(base_key.get(key, ""))
+            if base is not None and not base.cached and out["timing"] is not None:
+                out = _with_measured_serial(out, base.host_seconds)
             records[key] = _observe_record(RunRecord.from_dict(out))
             if cache is None:
                 continue

@@ -888,19 +888,6 @@ class CoarseGrid:
 
     # -- wave-level entry points --------------------------------------------
 
-    def eval_both_batch(
-        self,
-        pairs: Sequence[Tuple[RoutedSegment, RoutedSegment]],
-        counter: WorkCounter = NULL_COUNTER,
-    ) -> List[Tuple[float, float, bool]]:
-        """:meth:`eval_both` over a list of candidate pairs.
-
-        One ``(cost_low, cost_high, pick_high)`` per pair, on the current
-        committed state — exactly the per-pair :meth:`eval_both` results.
-        """
-        eval_both = self.eval_both
-        return [eval_both(low, high, counter) for low, high in pairs]
-
     def flip_wave(
         self,
         committed,

@@ -30,7 +30,6 @@ Entry point::
 from repro.mpi.comm import Communicator, ReduceOp, Request, SUM, MAX, MIN, CONCAT
 from repro.mpi.runtime import run_spmd, SpmdResult, RankError, DeadlockError
 from repro.mpi.sizes import estimate_size
-from repro.mpi.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "Communicator",
@@ -45,6 +44,4 @@ __all__ = [
     "RankError",
     "DeadlockError",
     "estimate_size",
-    "TraceEvent",
-    "TraceRecorder",
 ]

@@ -109,7 +109,6 @@ class Communicator:
         size: int,
         router: "object",
         clock: Optional[LogicalClock],
-        trace: Optional["object"] = None,
         obs: Optional["object"] = None,
         faults: Optional["object"] = None,
     ) -> None:
@@ -119,10 +118,9 @@ class Communicator:
         self.size = size
         self._router = router
         self.clock = clock
-        self.trace = trace
         #: span tracer (``repro.obs``); rank programs use it for step spans
-        #: and the communicator attributes message counts/bytes to the
-        #: currently open span — the per-phase communication breakdown.
+        #: and the communicator reports every send, receive and collective
+        #: to it — the run's comm log and per-phase communication breakdown.
         self.obs = obs if obs is not None else NULL_TRACER
         #: fault plan consulted on every send (injected link delays)
         self._faults = faults if faults is not None else NULL_FAULT_PLAN
@@ -202,12 +200,7 @@ class Communicator:
             cost = self.clock.machine.msg_seconds(nbytes)
             self.clock.charge_comm(cost)
             timestamp = self.clock.time
-        if self.trace is not None:
-            self.trace.record(
-                "send", timestamp or 0.0, self.rank, dest, tag, nbytes
-            )
-        self.obs.add_metric("msg.sent", 1)
-        self.obs.add_metric("msg.bytes", nbytes)
+        self.obs.comm_event("send", self.rank, dest, tag, nbytes)
         self._router.deliver(self.rank, dest, tag, obj, timestamp, nbytes)
 
     def _fetch(self, source: int, tag: int) -> Any:
@@ -230,12 +223,7 @@ class Communicator:
                 self.clock.wait_until(timestamp)
             # receive-side software overhead
             self.clock.charge_comm(self.clock.machine.latency_s * 0.5)
-        if self.trace is not None:
-            self.trace.record(
-                "recv",
-                self.clock.time if self.clock is not None else 0.0,
-                self.rank, source, tag, nbytes,
-            )
+        self.obs.comm_event("recv", self.rank, source, tag, nbytes)
         return obj, nbytes
 
     def _coll_tag(self) -> int:
@@ -254,13 +242,7 @@ class Communicator:
         ``_post``/``_fetch``)."""
         tag = self._coll_tag()
         self._overhead()
-        if self.trace is not None:
-            self.trace.record(
-                "collective",
-                self.clock.time if self.clock is not None else 0.0,
-                self.rank, -1, tag, 0, op=op,
-            )
-        self.obs.add_metric(f"coll.{op}", 1)
+        self.obs.comm_event("collective", self.rank, -1, tag, 0, op)
         return tag
 
     # -- collectives --------------------------------------------------------

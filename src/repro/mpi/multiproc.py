@@ -38,11 +38,11 @@ differs.
   ``ProcessExit``; a rank waiting on a peer that already exited fails
   fast with :class:`~repro.mpi.runtime.DeadlockError` instead of burning
   the full timeout.
-* **Observability** — per-rank span trees, trace events, logical-clock
-  state, and message/byte totals are shipped back and merged, so
-  profiles and ``repro trace`` output look the same regardless of
-  transport (child-process metrics counters are the one loss: they live
-  in the child's registry and are not merged).
+* **Observability** — per-rank span trees (comm events included),
+  logical-clock state, and message/byte totals are shipped back and
+  merged, so profiles and ``repro trace`` output look the same
+  regardless of transport (child-process metrics counters are the one
+  loss: they live in the child's registry and are not merged).
 
 A send costs its pickle and its write.  The posting thread pickles
 the message at ``send`` (MPI buffered-send semantics: a payload mutated
@@ -361,14 +361,12 @@ def _child_main(
     kwargs: Dict[str, Any],
     machine: Optional[MachineModel],
     deadlock_timeout: float,
-    want_trace: bool,
     want_obs: bool,
     plan_spec: Any,
     msg_pipes: Dict[Tuple[int, int], Tuple[Connection, Connection]],
     res_pipes: Dict[int, Tuple[Connection, Connection]],
 ) -> None:
     """Entry point of one rank process."""
-    from repro.mpi.trace import TraceRecorder
     from repro.obs.tracer import NULL_TRACER, Tracer
 
     # keep only this rank's channel ends; close every inherited copy so
@@ -401,11 +399,8 @@ def _child_main(
         clock.slowdown = faults.compute_factor(rank)
     tracer = Tracer() if want_obs else NULL_TRACER
     robs = _RankObs(tracer, rank, faults)
-    recorder = TraceRecorder() if want_trace else None
     router = _PipeRouter(rank, nprocs, writers, readers, faults, deadlock_timeout)
-    comm = Communicator(
-        rank, nprocs, router, clock, trace=recorder, obs=robs, faults=faults
-    )
+    comm = Communicator(rank, nprocs, router, clock, obs=robs, faults=faults)
     robs.bind_clock(clock)
 
     outcome = RankFailure(rank=rank, kind="ok")
@@ -435,7 +430,6 @@ def _child_main(
         "clock": None,
         "value": value,
         "spans": [s.to_dict() for s in tracer.roots] if want_obs else [],
-        "trace_events": list(recorder.events) if recorder is not None else [],
     }
     if clock is not None:
         report["clock"] = (
@@ -452,7 +446,7 @@ def _child_main(
                 error_type=type(exc).__name__,
                 message=f"rank result could not be serialized: {exc}",
             ),
-            clock=None, value=None, spans=[], trace_events=[],
+            clock=None, value=None, spans=[],
         )
         try:
             result_conn.send(report)
@@ -490,7 +484,6 @@ def run_multiprocess(
     kwargs: Optional[Dict[str, Any]] = None,
     machine: Optional[MachineModel] = None,
     deadlock_timeout: float = 60.0,
-    trace: Optional[Any] = None,
     obs: Optional[Any] = None,
     faults: Optional[Any] = None,
 ) -> SpmdResult:
@@ -516,7 +509,6 @@ def run_multiprocess(
     else:
         plan_spec = ("pickle", faults)
     want_obs = not isinstance(obs, NullTracer)
-    want_trace = trace is not None
 
     ctx = _pick_context()
     msg_pipes: Dict[Tuple[int, int], Tuple[Connection, Connection]] = {
@@ -544,7 +536,7 @@ def run_multiprocess(
                 target=_child_main,
                 args=(
                     rank, nprocs, fn, tuple(args), dict(kwargs), machine,
-                    deadlock_timeout, want_trace, want_obs, plan_spec,
+                    deadlock_timeout, want_obs, plan_spec,
                     msg_pipes, res_pipes,
                 ),
                 name=f"spmd-rank-{rank}",
@@ -654,9 +646,6 @@ def run_multiprocess(
         message_count += rep["message_count"]
         byte_count += rep["byte_count"]
         adopted.extend(Span.from_dict(d) for d in rep["spans"])
-        if trace is not None and rep["trace_events"]:
-            with trace._lock:
-                trace.events.extend(rep["trace_events"])
     if adopted:
         adopt = getattr(obs, "adopt", None)
         if adopt is not None:

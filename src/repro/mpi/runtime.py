@@ -288,13 +288,16 @@ class _RankObs:
     stacks).
     """
 
-    __slots__ = ("_inner", "_rank", "_faults", "_stack")
+    __slots__ = ("_inner", "_rank", "_faults", "_stack", "comm_event", "bind_clock")
 
     def __init__(self, inner: Any, rank: int, faults: Any) -> None:
         self._inner = inner
         self._rank = rank
         self._faults = faults
         self._stack: List[str] = []
+        # the communicator calls this on every message: no forwarding frame
+        self.comm_event = inner.comm_event
+        self.bind_clock = inner.bind_clock
 
     @property
     def current_step(self) -> Optional[str]:
@@ -303,18 +306,6 @@ class _RankObs:
     def span(self, name: str, **tags: Any):
         self._faults.on_step(self._rank, name)
         return _RankSpanContext(self, self._inner.span(name, **tags), name)
-
-    def event(self, name: str, **tags: Any) -> None:
-        self._inner.event(name, **tags)
-
-    def add_metric(self, name: str, value: float) -> None:
-        self._inner.add_metric(name, value)
-
-    def bind_clock(self, clock: Optional[Any]) -> None:
-        self._inner.bind_clock(clock)
-
-    def wrap_counter(self, sink: Any) -> Any:
-        return self._inner.wrap_counter(sink)
 
 
 class _RankSpanContext:
@@ -425,7 +416,6 @@ def run_spmd(
     kwargs: Optional[Dict[str, Any]] = None,
     machine: Optional[MachineModel] = None,
     deadlock_timeout: float = 60.0,
-    trace: Optional[Any] = None,
     obs: Optional[Any] = None,
     faults: Optional[Any] = None,
     transport: str = "inprocess",
@@ -433,12 +423,13 @@ def run_spmd(
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` ranks.
 
     With a ``machine`` model, each rank gets a logical clock charged by
-    both the communicator and any kernels using ``comm.counter``.  A
-    :class:`~repro.mpi.trace.TraceRecorder` passed as ``trace`` collects
-    one event per message for post-run analysis.  An
+    both the communicator and any kernels using ``comm.counter``.  An
     :class:`~repro.obs.tracer.Tracer` passed as ``obs`` wraps each rank
     in a span (with the rank's logical clock bound for simulated
-    timestamps) and lets rank programs open step spans via ``comm.obs``.
+    timestamps and per-span work attribution), lets rank programs open
+    step spans via ``comm.obs`` and records one
+    :class:`~repro.obs.tracer.CommEvent` per send, receive and
+    collective (:mod:`repro.mpi.trace` analyses them).
     A :class:`~repro.faults.plan.FaultPlan` passed as ``faults`` injects
     its scheduled failures; on abort, the raised :class:`RankError`
     carries a :class:`~repro.faults.report.RunFailure` report.
@@ -462,7 +453,6 @@ def run_spmd(
         kwargs=kwargs,
         machine=machine,
         deadlock_timeout=deadlock_timeout,
-        trace=trace,
         obs=obs,
         faults=faults,
     )
@@ -479,7 +469,6 @@ def run_inprocess(
     kwargs: Optional[Dict[str, Any]] = None,
     machine: Optional[MachineModel] = None,
     deadlock_timeout: float = 60.0,
-    trace: Optional[Any] = None,
     obs: Optional[Any] = None,
     faults: Optional[Any] = None,
 ) -> SpmdResult:
@@ -513,8 +502,7 @@ def run_inprocess(
     def runner(rank: int) -> None:
         robs = rank_obs[rank]
         comm = Communicator(
-            rank, nprocs, router, clocks[rank], trace=trace, obs=robs,
-            faults=faults,
+            rank, nprocs, router, clocks[rank], obs=robs, faults=faults,
         )
         robs.bind_clock(clocks[rank])
         t_start = time.perf_counter()

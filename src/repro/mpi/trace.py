@@ -1,142 +1,96 @@
-"""Message tracing: record what a parallel run communicated, when.
+"""Message tracing: what a parallel run communicated, when.
 
-A :class:`TraceRecorder` attached to a run collects one event per
-message and collective, in simulated time.  The text timeline renderer
-gives a quick visual of communication structure (who talks to whom, how
-synchronization phases line up) without any plotting dependency.
+The communicator reports every send, receive and collective to the
+run's span :class:`~repro.obs.tracer.Tracer`, which keeps them as
+:class:`~repro.obs.tracer.CommEvent` records on the innermost open span
+(simulated time, rank, peer, tag, bytes, collective op).  The functions
+here read those events back out of a tracer: totals, per-pair traffic,
+and a text timeline and byte matrix that show the communication
+structure (who talks to whom, how synchronization phases line up)
+without any plotting dependency.
+
+Point-to-point ``send``/``recv`` events cover all traffic (collectives
+are built from point-to-point messages, so their tree edges are recorded
+too); ``collective`` events additionally mark each logical collective
+operation so analysis can attribute the reserved-tag traffic underneath
+to barrier/bcast/reduce phases.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Tuple
+
+from repro.obs.tracer import Tracer
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One communication event."""
+def total_messages(tracer: Tracer) -> int:
+    """Messages sent across the whole run.
 
-    kind: str  # "send" | "recv" | "collective"
-    time: float  # simulated seconds (0.0 when no machine model)
-    rank: int
-    peer: int  # source/destination rank; -1 for collectives
-    tag: int
-    nbytes: int
-    #: collective operation name ("bcast", "reduce", ...); "" for p2p
-    op: str = ""
-
-
-class TraceRecorder:
-    """Collects trace events from a run.
-
-    Rank programs run on concurrent threads and ``list.append`` is *not*
-    a documented atomic operation, so :meth:`record` takes a lock — the
-    recorder must stay correct no matter how the interpreter schedules
-    rank threads.  Point-to-point ``send``/``recv`` events cover all
-    traffic (collectives are built from point-to-point messages, so their
-    tree edges are recorded too); ``collective`` events additionally mark
-    each logical collective operation so analysis can attribute the
-    reserved-tag traffic underneath to barrier/bcast/reduce phases.
+    Counts every point-to-point send, including the tree edges inside
+    collectives (which use reserved negative tags) — barrier/bcast
+    traffic is real traffic.
     """
+    return sum(1 for e in tracer.comm_events() if e.kind == "send")
 
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self._lock = threading.Lock()
 
-    def record(
-        self,
-        kind: str,
-        time: float,
-        rank: int,
-        peer: int,
-        tag: int,
-        nbytes: int,
-        op: str = "",
-    ) -> None:
-        """Append one event (called by the communicator)."""
-        event = TraceEvent(kind, time, rank, peer, tag, nbytes, op)
-        with self._lock:
-            self.events.append(event)
+def total_bytes(tracer: Tracer) -> int:
+    """Bytes sent across the whole run."""
+    return sum(e.nbytes for e in tracer.comm_events() if e.kind == "send")
 
-    # -- queries -----------------------------------------------------------
 
-    def for_rank(self, rank: int) -> List[TraceEvent]:
-        """One rank's events, time-ordered."""
-        return sorted(
-            (e for e in self.events if e.rank == rank), key=lambda e: e.time
+def collectives_by_op(tracer: Tracer) -> Dict[str, int]:
+    """``op name -> count`` of logical collective operations."""
+    out: Dict[str, int] = {}
+    for e in tracer.comm_events():
+        if e.kind == "collective":
+            out[e.op] = out.get(e.op, 0) + 1
+    return out
+
+
+def bytes_by_pair(tracer: Tracer) -> Dict[Tuple[int, int], int]:
+    """(src, dst) -> bytes sent."""
+    out: Dict[Tuple[int, int], int] = {}
+    for e in tracer.comm_events():
+        if e.kind == "send":
+            key = (e.rank, e.peer)
+            out[key] = out.get(key, 0) + e.nbytes
+    return out
+
+
+def render_timeline(tracer: Tracer, nprocs: int, width: int = 64) -> str:
+    """Per-rank send/receive activity over simulated time as text.
+
+    Each rank gets one lane; ``>`` marks a send, ``<`` a receive,
+    ``*`` both in the same bucket.
+    """
+    events = tracer.comm_events()
+    if not any(e.kind != "collective" for e in events):
+        return "(no traffic)"
+    t_max = max(e.time for e in events) or 1.0
+    lanes = []
+    for rank in range(nprocs):
+        lane = [" "] * width
+        for e in events:
+            if e.rank != rank or e.kind == "collective":
+                continue
+            slot = min(int(e.time / t_max * (width - 1)), width - 1)
+            mark = ">" if e.kind == "send" else "<"
+            lane[slot] = "*" if lane[slot] not in (" ", mark) else mark
+        lanes.append(f"rank {rank:>2} |{''.join(lane)}|")
+    header = f"comm timeline (0 .. {t_max:.4f}s, '>' send, '<' recv)"
+    return "\n".join([header] + lanes)
+
+
+def render_matrix(tracer: Tracer, nprocs: int) -> str:
+    """Bytes-sent matrix (src rows, dst columns)."""
+    pairs = bytes_by_pair(tracer)
+    widths = max(8, max((len(f"{v:,}") for v in pairs.values()), default=8))
+    lines = ["bytes sent (row = source, column = destination)"]
+    head = "        " + " ".join(f"r{d:<{widths - 1}}" for d in range(nprocs))
+    lines.append(head)
+    for s in range(nprocs):
+        cells = " ".join(
+            f"{pairs.get((s, d), 0):>{widths},}" for d in range(nprocs)
         )
-
-    def bytes_by_pair(self) -> Dict[tuple, int]:
-        """(src, dst) -> bytes sent."""
-        out: Dict[tuple, int] = {}
-        for e in self.events:
-            if e.kind == "send":
-                key = (e.rank, e.peer)
-                out[key] = out.get(key, 0) + e.nbytes
-        return out
-
-    def total_bytes(self) -> int:
-        """Bytes sent across the whole run."""
-        return sum(e.nbytes for e in self.events if e.kind == "send")
-
-    def total_messages(self) -> int:
-        """Messages sent across the whole run.
-
-        Counts every point-to-point send, including the tree edges inside
-        collectives (which use reserved negative tags) — barrier/bcast
-        traffic is real traffic.
-        """
-        return sum(1 for e in self.events if e.kind == "send")
-
-    def total_collectives(self) -> int:
-        """Logical collective operations across the whole run."""
-        return sum(1 for e in self.events if e.kind == "collective")
-
-    def collectives_by_op(self) -> Dict[str, int]:
-        """``op name -> count`` of collective operations."""
-        out: Dict[str, int] = {}
-        for e in self.events:
-            if e.kind == "collective":
-                out[e.op] = out.get(e.op, 0) + 1
-        return out
-
-    # -- rendering ----------------------------------------------------------
-
-    def render_timeline(self, nprocs: int, width: int = 64) -> str:
-        """Per-rank send/receive activity over simulated time as text.
-
-        Each rank gets one lane; ``>`` marks a send, ``<`` a receive,
-        ``*`` both in the same bucket.
-        """
-        sends = [e for e in self.events if e.kind == "send"]
-        recvs = [e for e in self.events if e.kind == "recv"]
-        if not sends and not recvs:
-            return "(no traffic)"
-        t_max = max(e.time for e in self.events) or 1.0
-        lanes = []
-        for rank in range(nprocs):
-            lane = [" "] * width
-            for e in self.events:
-                if e.rank != rank or e.kind == "collective":
-                    continue
-                slot = min(int(e.time / t_max * (width - 1)), width - 1)
-                mark = ">" if e.kind == "send" else "<"
-                lane[slot] = "*" if lane[slot] not in (" ", mark) else mark
-            lanes.append(f"rank {rank:>2} |{''.join(lane)}|")
-        header = f"comm timeline (0 .. {t_max:.4f}s, '>' send, '<' recv)"
-        return "\n".join([header] + lanes)
-
-    def render_matrix(self, nprocs: int) -> str:
-        """Bytes-sent matrix (src rows, dst columns)."""
-        pairs = self.bytes_by_pair()
-        widths = max(8, max((len(f"{v:,}") for v in pairs.values()), default=8))
-        lines = ["bytes sent (row = source, column = destination)"]
-        head = "        " + " ".join(f"r{d:<{widths - 1}}" for d in range(nprocs))
-        lines.append(head)
-        for s in range(nprocs):
-            cells = " ".join(
-                f"{pairs.get((s, d), 0):>{widths},}" for d in range(nprocs)
-            )
-            lines.append(f"rank {s:>2} {cells}")
-        return "\n".join(lines)
+        lines.append(f"rank {s:>2} {cells}")
+    return "\n".join(lines)

@@ -3,8 +3,9 @@
 Zero-dependency observability for the router and its experiment engine:
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` produces nested, timestamped
-  spans (wall and simulated clock) with tags and per-span metrics; the
-  :data:`NULL_TRACER` default makes every instrumentation hook free.
+  spans (wall and simulated clock) with tags, per-span metrics (work ops,
+  messages, bytes) and the SPMD comm events; the :data:`NULL_TRACER`
+  default makes every instrumentation hook free.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges, and histograms with snapshot/merge value semantics for
   process-pool safety.
@@ -45,9 +46,10 @@ from repro.obs.sinks import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import NULL_TRACER, CommEvent, NullTracer, Span, Tracer
 
 __all__ = [
+    "CommEvent",
     "Counter",
     "Gauge",
     "Histogram",

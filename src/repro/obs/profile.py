@@ -199,10 +199,12 @@ def profile_from_tracer(
                 comm["collectives"] += mval
 
     if machine is not None:
+        # kinds in name order: the float sum must not depend on the order
+        # in which a step's spans happened to report their ops
         for agg in steps.values():
             agg["model_s"] = sum(
                 machine.work_seconds(kind, units)
-                for kind, units in agg["ops"].items()
+                for kind, units in sorted(agg["ops"].items())
             )
 
     return RunProfile(

@@ -1,8 +1,8 @@
 """Trace sinks: JSONL, Chrome tracing, and a text flamegraph.
 
-All three consume a :class:`~repro.obs.tracer.Tracer` (and optionally the
-communication events of a :class:`~repro.mpi.trace.TraceRecorder`) and
-need nothing beyond the standard library:
+All three consume a :class:`~repro.obs.tracer.Tracer` — its spans and
+the communication events recorded on them — and need nothing beyond the
+standard library:
 
 * :func:`write_jsonl` — one JSON object per span/comm event per line,
   the archival format;
@@ -45,39 +45,25 @@ def _tid(span: Span, inherited: int) -> int:
 # JSONL
 # ---------------------------------------------------------------------------
 
-def write_jsonl(path: Union[str, Path], tracer: Tracer, recorder: Any = None) -> int:
+def write_jsonl(path: Union[str, Path], tracer: Tracer) -> int:
     """Write every span (flattened, with depth) and comm event; returns
     the number of lines written."""
     lines: List[str] = []
 
     def emit(span: Span, depth: int) -> None:
         row: Dict[str, Any] = {"type": "span", "depth": depth}
-        row.update(
-            {k: v for k, v in span.to_dict().items() if k != "children"}
-        )
+        row.update({
+            k: v for k, v in span.to_dict().items()
+            if k not in ("children", "events")
+        })
         lines.append(json.dumps(row, sort_keys=True))
         for child in span.children:
             emit(child, depth + 1)
 
     for root in tracer.roots:
         emit(root, 0)
-    if recorder is not None:
-        for e in recorder.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "comm",
-                        "kind": e.kind,
-                        "time": e.time,
-                        "rank": e.rank,
-                        "peer": e.peer,
-                        "tag": e.tag,
-                        "nbytes": e.nbytes,
-                        "op": e.op,
-                    },
-                    sort_keys=True,
-                )
-            )
+    for e in tracer.comm_events():
+        lines.append(json.dumps({"type": "comm", **e._asdict()}, sort_keys=True))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return len(lines)
 
@@ -86,7 +72,7 @@ def write_jsonl(path: Union[str, Path], tracer: Tracer, recorder: Any = None) ->
 # Chrome trace
 # ---------------------------------------------------------------------------
 
-def chrome_trace(tracer: Tracer, recorder: Any = None) -> Dict[str, Any]:
+def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     """Trace Event Format dict loadable by ``chrome://tracing``/Perfetto.
 
     Spans become complete ("X") events; communication events become
@@ -122,20 +108,19 @@ def chrome_trace(tracer: Tracer, recorder: Any = None) -> Dict[str, Any]:
     for root in tracer.roots:
         emit(root, 0)
 
-    if recorder is not None:
-        for e in recorder.events:
-            events.append(
-                {
-                    "ph": "i",
-                    "name": e.op or e.kind,
-                    "cat": f"comm.{e.kind}",
-                    "ts": (e.time - (0.0 if sim else base)) * 1e6,
-                    "pid": 0,
-                    "tid": e.rank,
-                    "s": "t",
-                    "args": {"peer": e.peer, "tag": e.tag, "nbytes": e.nbytes},
-                }
-            )
+    for e in tracer.comm_events():
+        events.append(
+            {
+                "ph": "i",
+                "name": e.op or e.kind,
+                "cat": f"comm.{e.kind}",
+                "ts": (e.time - (0.0 if sim else base)) * 1e6,
+                "pid": 0,
+                "tid": e.rank,
+                "s": "t",
+                "args": {"peer": e.peer, "tag": e.tag, "nbytes": e.nbytes},
+            }
+        )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -143,11 +128,9 @@ def chrome_trace(tracer: Tracer, recorder: Any = None) -> Dict[str, Any]:
     }
 
 
-def write_chrome_trace(
-    path: Union[str, Path], tracer: Tracer, recorder: Any = None
-) -> int:
+def write_chrome_trace(path: Union[str, Path], tracer: Tracer) -> int:
     """Write :func:`chrome_trace` output; returns the event count."""
-    payload = chrome_trace(tracer, recorder)
+    payload = chrome_trace(tracer)
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
     return len(payload["traceEvents"])
 

@@ -5,8 +5,20 @@ one per router step, rank, or sweep point — carrying both host wall time
 (``time.perf_counter``) and, when a per-rank
 :class:`~repro.perfmodel.clock.LogicalClock` is bound, simulated time.
 Spans also accumulate named metrics (work-counter ops, message counts,
-bytes), which is how per-phase communication breakdowns are attributed
-without touching the routing kernels.
+bytes), which is how per-phase compute and communication are attributed
+without touching the routing kernels:
+
+* ``ops.{kind}`` — the thread's bound work tally (a rank's
+  :class:`~repro.perfmodel.clock.LogicalClock` ``work_units``, or the
+  serial router's tally) is read whenever a span opens or closes; the
+  units charged in between belong to the span that was innermost, so
+  every charge counts exactly once and the kernels never see the tracer.
+* ``msg.sent``/``msg.bytes``/``coll.{op}`` — added by
+  :meth:`Tracer.comm_event`, which the communicator calls once per send,
+  receive and collective.  The same call appends a :class:`CommEvent`
+  to the innermost span; events are not spans (``walk``/``find`` never
+  see them), but they travel with their span tree, so a multiprocess
+  rank's comm log reaches the parent inside the spans it ships.
 
 Thread model: each thread keeps its own open-span stack (the simulated
 MPI runtime runs one thread per rank), so ranks nest their step spans
@@ -22,9 +34,20 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional
 
-from repro.perfmodel.counter import WorkCounter
+
+class CommEvent(NamedTuple):
+    """One communication event of an SPMD run."""
+
+    kind: str  # "send" | "recv" | "collective"
+    time: float  # simulated seconds (0.0 without a bound clock)
+    rank: int
+    peer: int  # source/destination rank; -1 for collectives
+    tag: int
+    nbytes: int
+    #: collective operation name ("bcast", "reduce", ...); "" for p2p
+    op: str = ""
 
 
 @dataclass(slots=True)
@@ -39,6 +62,8 @@ class Span:
     tags: Dict[str, Any] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
     children: List["Span"] = field(default_factory=list)
+    #: comm events recorded while this span was innermost
+    events: List[CommEvent] = field(default_factory=list)
 
     @property
     def wall_s(self) -> float:
@@ -80,6 +105,8 @@ class Span:
             out["metrics"] = dict(self.metrics)
         if self.children:
             out["children"] = [c.to_dict() for c in self.children]
+        if self.events:
+            out["events"] = [list(e) for e in self.events]
         return out
 
     @classmethod
@@ -87,9 +114,9 @@ class Span:
         """Rebuild a span tree from :meth:`to_dict` output.
 
         The multiprocess SPMD transport ships each rank's finished span
-        tree to the parent this way (spans hold locks' worth of nothing —
-        plain data — but the tracer that owns them does not cross the
-        process boundary).  Derived fields (``wall_s``, ``sim_s``) are
+        tree to the parent this way, comm events included (spans are plain
+        data, but the tracer that owns them does not cross the process
+        boundary).  Derived fields (``wall_s``, ``sim_s``) are
         recomputed, not read.
         """
         return cls(
@@ -101,6 +128,7 @@ class Span:
             tags=dict(data.get("tags", {})),
             metrics=dict(data.get("metrics", {})),
             children=[cls.from_dict(c) for c in data.get("children", [])],
+            events=[CommEvent(*e) for e in data.get("events", [])],
         )
 
 
@@ -124,21 +152,6 @@ class _SpanContext:
         self._tracer._close(self._span)
 
 
-class _TracingCounter:
-    """Forwards work charges to a sink *and* the tracer's open span."""
-
-    __slots__ = ("_sink", "_tracer")
-
-    def __init__(self, sink: WorkCounter, tracer: "Tracer") -> None:
-        self._sink = sink
-        self._tracer = tracer
-
-    def add(self, kind: str, units: float) -> None:
-        """Charge the sink and attribute the ops to the current span."""
-        self._sink.add(kind, units)
-        self._tracer.add_metric(f"ops.{kind}", units)
-
-
 class Tracer:
     """Collects a span tree from one (serial or SPMD) run."""
 
@@ -160,8 +173,21 @@ class Tracer:
         The SPMD runtime binds each rank thread's
         :class:`~repro.perfmodel.clock.LogicalClock` so spans opened on
         that thread carry simulated timestamps.  Pass ``None`` to unbind.
+        A clock's ``work_units`` become the thread's work tally (see
+        :meth:`bind_work`).
         """
         self._tls.clock = clock
+        self.bind_work(getattr(clock, "work_units", None))
+
+    def bind_work(self, units: Optional[Dict[str, float]]) -> None:
+        """Attach a per-thread work tally (``kind -> units`` charged so far).
+
+        Spans on this thread then carry the units charged while each was
+        the innermost open span, as ``ops.{kind}`` metrics.  Pass
+        ``None`` to unbind.
+        """
+        self._tls.work = units
+        self._tls.mark = dict(units) if units is not None else None
 
     def _clock_time(self) -> Optional[float]:
         clock = getattr(self._tls, "clock", None)
@@ -190,22 +216,55 @@ class Tracer:
         if stack:
             stack[-1].add_metric(name, value)
 
-    def wrap_counter(self, sink: WorkCounter) -> WorkCounter:
-        """A counter that charges ``sink`` and the current span.
+    def comm_event(
+        self, kind: str, rank: int, peer: int, tag: int, nbytes: int,
+        op: str = "",
+    ) -> None:
+        """Record one send/recv/collective on the innermost open span.
 
-        The null tracer returns ``sink`` unchanged, so untraced runs keep
-        the exact counter object (and hot-path cost) they had before.
+        The event is stamped with the bound clock's simulated time, and
+        the span's ``msg.sent``/``msg.bytes`` (sends) or ``coll.{op}``
+        (collectives) metrics grow with it.  Dropped outside any span.
         """
-        return _TracingCounter(sink, self)
+        stack = self._stack()
+        if not stack:
+            return
+        span = stack[-1]
+        clock = getattr(self._tls, "clock", None)
+        span.events.append(CommEvent(
+            kind, clock.time if clock is not None else 0.0,
+            rank, peer, tag, nbytes, op,
+        ))
+        if kind == "send":
+            span.add_metric("msg.sent", 1)
+            span.add_metric("msg.bytes", nbytes)
+        elif kind == "collective":
+            span.add_metric(f"coll.{op}", 1)
+
+    def _settle_work(self, stack: List[Span]) -> None:
+        """Credit the units charged since the last span boundary to the
+        innermost open span, and move the mark to now."""
+        work = getattr(self._tls, "work", None)
+        if work is None:
+            return
+        mark = self._tls.mark
+        if stack:
+            span = stack[-1]
+            for kind, units in work.items():
+                delta = units - mark.get(kind, 0.0)
+                if delta:
+                    span.add_metric(f"ops.{kind}", delta)
+        self._tls.mark = dict(work)
 
     def _open(self, name: str, tags: Dict[str, Any]) -> Span:
+        stack = self._stack()
+        self._settle_work(stack)
         span = Span(
             name=name,
             t0=time.perf_counter(),
             sim_t0=self._clock_time(),
             tags=tags,
         )
-        stack = self._stack()
         if stack:
             stack[-1].children.append(span)
         stack.append(span)
@@ -217,6 +276,7 @@ class Tracer:
         if span.sim_t0 is not None and sim is not None:
             span.sim_t1 = sim
         stack = self._stack()
+        self._settle_work(stack)
         # close any forgotten descendants, then the span itself
         while stack and stack[-1] is not span:
             stack.pop()
@@ -248,6 +308,16 @@ class Tracer:
     def find(self, name: str) -> List[Span]:
         """All spans with the given name."""
         return [s for s in self.walk() if s.name == name]
+
+    def comm_events(self) -> List[CommEvent]:
+        """Every comm event, rank by rank in simulated-time order.
+
+        Events of one rank at the same simulated time (a run without a
+        machine model stamps them all 0.0) keep span-tree preorder.
+        """
+        events = [e for span in self.walk() for e in span.events]
+        events.sort(key=lambda e: (e.rank, e.time))
+        return events
 
     def step_totals(self) -> Dict[str, Dict[str, float]]:
         """Aggregate spans by name: counts, wall/sim sums and maxima, metrics.
@@ -310,9 +380,16 @@ class NullTracer:
         """No-op binding."""
         return None
 
-    def wrap_counter(self, sink: WorkCounter) -> WorkCounter:
-        """Identity — untraced runs keep their original counter object."""
-        return sink
+    def bind_work(self, units: Optional[Dict[str, float]]) -> None:
+        """No-op binding."""
+        return None
+
+    def comm_event(
+        self, kind: str, rank: int, peer: int, tag: int, nbytes: int,
+        op: str = "",
+    ) -> None:
+        """No-op comm event."""
+        return None
 
     def adopt(self, spans: List[Span]) -> None:
         """No-op adoption."""

@@ -146,7 +146,6 @@ def route_parallel(
     baseline: Optional[RoutingResult] = None,
     compute_baseline: bool = True,
     memory_stats: Optional[CircuitStats] = None,
-    trace: Optional[object] = None,
     obs: Optional[object] = None,
     faults: Optional[object] = None,
     transport: Optional[str] = None,
@@ -156,10 +155,10 @@ def route_parallel(
     ``baseline`` supplies a precomputed serial run (so sweeps over
     processor counts route serially once); ``compute_baseline=False``
     skips the serial run entirely (``speedup``/``scaled_tracks`` become
-    unavailable).  ``trace`` accepts a
-    :class:`~repro.mpi.trace.TraceRecorder` to capture the run's
-    communication events; ``obs`` a :class:`~repro.obs.tracer.Tracer`
-    for per-rank step spans (simulated-clock timestamps included);
+    unavailable).  ``obs`` accepts a :class:`~repro.obs.tracer.Tracer`
+    for per-rank step spans (simulated-clock timestamps, per-step work
+    and the run's communication events included; see
+    :mod:`repro.mpi.trace`);
     ``faults`` a :class:`~repro.faults.plan.FaultPlan` for deterministic
     fault injection (a crash surfaces as
     :class:`~repro.mpi.runtime.RankError` with a containment report).
@@ -188,7 +187,7 @@ def route_parallel(
     with gc_paused():
         spmd = run_spmd(
             nprocs, program, args=(circuit, config, pconfig), machine=machine,
-            trace=trace, obs=obs, faults=faults, transport=transport,
+            obs=obs, faults=faults, transport=transport,
         )
     result: RoutingResult = spmd.values[0]
     if result is None:

@@ -51,7 +51,7 @@ def hybrid_program(
 ) -> Optional[RoutingResult]:
     """SPMD body of the hybrid algorithm; returns the result on rank 0."""
     obs = comm.obs
-    counter = obs.wrap_counter(comm.counter)
+    counter = comm.counter
     rank, P = comm.rank, comm.size
     row_part = RowPartition.balanced(circuit, P)
 

@@ -54,7 +54,7 @@ def netwise_program(
 ) -> Optional[RoutingResult]:
     """SPMD body of the net-wise algorithm; returns the result on rank 0."""
     obs = comm.obs
-    counter = obs.wrap_counter(comm.counter)
+    counter = comm.counter
     rank, P = comm.rank, comm.size
     with obs.span("step1_steiner", step=1):
         row_part = RowPartition.balanced(circuit, P)

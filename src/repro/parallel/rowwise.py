@@ -43,7 +43,7 @@ def rowwise_program(
 ) -> Optional[RoutingResult]:
     """SPMD body of the row-wise algorithm; returns the result on rank 0."""
     obs = comm.obs
-    counter = obs.wrap_counter(comm.counter)
+    counter = comm.counter
     row_part = RowPartition.balanced(circuit, comm.size)
 
     # Step 1 — whole-net Steiner trees, built in parallel and gathered.

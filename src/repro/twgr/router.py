@@ -8,10 +8,12 @@ letting the parallel algorithms reuse the exact same streams where their
 structure matches the serial one.
 
 Observability: each step runs inside a tracing span (see
-:mod:`repro.obs`) named ``step1_steiner`` … ``step5_switch``; the
-default :data:`~repro.obs.tracer.NULL_TRACER` makes every hook a no-op,
-and tracing is passive — it consumes no randomness and mutates nothing,
-so traced and untraced runs are bit-identical.
+:mod:`repro.obs`) named ``step1_steiner`` … ``step5_switch``, and the
+route's work tally is bound to the tracer so each span carries the ops
+charged inside it; the default :data:`~repro.obs.tracer.NULL_TRACER`
+makes every hook a no-op, and tracing is passive — it consumes no
+randomness and mutates nothing, so traced and untraced runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -58,26 +60,28 @@ class GlobalRouter:
         tracer: Tracer = NULL_TRACER,
     ) -> Tuple[RoutingResult, StepArtifacts]:
         """Route ``circuit``, also returning every intermediate product."""
-        # The routing working set is cycle-free (trees, pools, flip records
-        # and span sets hold no back references), so every cyclic-GC pass
-        # taken mid-route scans tens of thousands of live objects and
-        # reclaims nothing.  Suspend collection for the bounded routing
-        # phase; see repro.gcutil for the restore guarantees.
-        with gc_paused():
-            return self._route_with_artifacts(circuit, counter, tracer)
+        cnt = FanoutCounter(counter)
+        # spans read the tally at their boundaries to attribute ops
+        tracer.bind_work(cnt.tally.units)
+        try:
+            # The routing working set is cycle-free (trees, pools, flip
+            # records and span sets hold no back references), so every
+            # cyclic-GC pass taken mid-route scans tens of thousands of
+            # live objects and reclaims nothing.  Suspend collection for
+            # the bounded routing phase; see repro.gcutil for the restore
+            # guarantees.
+            with gc_paused():
+                return self._route_with_artifacts(circuit, cnt, tracer)
+        finally:
+            tracer.bind_work(None)
 
     def _route_with_artifacts(
         self,
         circuit: Circuit,
-        counter: WorkCounter,
+        cnt: FanoutCounter,
         tracer: Tracer,
     ) -> Tuple[RoutingResult, StepArtifacts]:
         cfg = self.config
-        fan = FanoutCounter(counter)
-        tally = fan.tally
-        # With the null tracer this is `fan` itself — zero added cost on
-        # the charging hot path; a live tracer attributes ops per step.
-        cnt = tracer.wrap_counter(fan)
         work = circuit.clone()
         art = StepArtifacts()
 
@@ -146,6 +150,6 @@ class GlobalRouter:
                 algorithm="serial",
                 nprocs=1,
                 counter=cnt,
-                work_units=dict(tally.units),
+                work_units=dict(cnt.tally.units),
             )
         return result, art

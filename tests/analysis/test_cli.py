@@ -224,6 +224,36 @@ def test_compare_folds_its_session_tallies_once(capsys, tmp_path):
     }
 
 
+MP_ROUTE = (
+    "route", "--circuit", "primary1", "--scale", "0.1",
+    "--nprocs", "2", "--transport", "multiprocess",
+)
+
+
+def test_route_multiprocess_prints_measured_speedup(capsys):
+    """The serial baseline is routed in the same sweep, so its host
+    seconds give the measured speedup."""
+    code, out = run(capsys, *MP_ROUTE, "--algorithm", "rowwise")
+    assert code == 0
+    measured = out.split("measured (multiprocess):", 1)[1]
+    assert "speedup=" in measured.split("|")[0]
+
+
+def test_route_multiprocess_with_cached_baseline_omits_measured_speedup(
+    capsys, tmp_path
+):
+    """A cached baseline's host seconds come from another window, so the
+    measured speedup stays unset rather than mixing the two."""
+    cache = ("--cache-dir", str(tmp_path / "c"))
+    code, _ = run(capsys, *MP_ROUTE, "--algorithm", "serial", *cache)
+    assert code == 0
+    code, out = run(capsys, *MP_ROUTE, "--algorithm", "rowwise", *cache)
+    assert code == 0
+    measured = out.split("measured (multiprocess):", 1)[1]
+    assert "wall=" in measured
+    assert "speedup=" not in measured.split("|")[0]
+
+
 def test_route_after_profile_prints_the_baseline(capsys, tmp_path):
     """A parallel record cached by `profile` carries its serial baseline,
     so `route` can replay it with the `serial  :` line."""

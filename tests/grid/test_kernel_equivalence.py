@@ -314,19 +314,20 @@ def test_end_to_end_golden(name, scale, algo):
 def modeled_signature(algo: str, nprocs: int) -> tuple:
     """The modeled side of a parallel run: per-rank clock components,
     work units per kind, and the message count and bytes on the wire."""
-    from repro.mpi.trace import TraceRecorder
+    from repro.mpi.trace import total_bytes, total_messages
+    from repro.obs import Tracer
 
     circuit = mcnc.generate("primary1", scale=0.15, seed=13)
-    trace = TraceRecorder()
+    tracer = Tracer()
     run = route_parallel(
         circuit, algorithm=algo, nprocs=nprocs, config=RouterConfig(seed=13),
-        compute_baseline=False, trace=trace,
+        compute_baseline=False, obs=tracer,
     )
     t = run.timing
     return (
         tuple(t.rank_times), tuple(t.rank_compute), tuple(t.rank_comm),
         tuple(t.rank_idle), tuple(sorted(run.result.work_units.items())),
-        trace.total_messages(), trace.total_bytes(),
+        total_messages(tracer), total_bytes(tracer),
     )
 
 

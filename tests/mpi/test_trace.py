@@ -1,4 +1,13 @@
-from repro.mpi import Request, TraceRecorder, run_spmd
+from repro.mpi import Request, run_spmd
+from repro.mpi.trace import (
+    bytes_by_pair,
+    collectives_by_op,
+    render_matrix,
+    render_timeline,
+    total_bytes,
+    total_messages,
+)
+from repro.obs import Tracer
 from repro.perfmodel import SPARCCENTER_1000
 
 
@@ -7,47 +16,49 @@ def ring(comm):
     return comm.recv((comm.rank - 1) % comm.size, tag=1)
 
 
+def traced(nprocs, fn, **kwargs):
+    """Run ``fn`` on ``nprocs`` ranks; return the run's tracer."""
+    tr = Tracer()
+    run_spmd(nprocs, fn, obs=tr, **kwargs)
+    return tr
+
+
 def test_trace_counts_messages():
-    tr = TraceRecorder()
-    run_spmd(4, ring, trace=tr)
-    assert tr.total_messages() == 4
-    assert tr.total_bytes() >= 4 * 50
+    tr = traced(4, ring)
+    assert total_messages(tr) == 4
+    assert total_bytes(tr) >= 4 * 50
     # one recv per send
-    assert sum(1 for e in tr.events if e.kind == "recv") == 4
+    assert sum(1 for e in tr.comm_events() if e.kind == "recv") == 4
 
 
 def test_bytes_by_pair_is_ring():
-    tr = TraceRecorder()
-    run_spmd(4, ring, trace=tr)
-    pairs = tr.bytes_by_pair()
+    pairs = bytes_by_pair(traced(4, ring))
     assert set(pairs) == {(r, (r + 1) % 4) for r in range(4)}
 
 
 def test_for_rank_sorted_by_time():
-    tr = TraceRecorder()
-    run_spmd(4, ring, trace=tr, machine=SPARCCENTER_1000)
-    events = tr.for_rank(0)
+    events = [
+        e for e in traced(4, ring, machine=SPARCCENTER_1000).comm_events()
+        if e.rank == 0
+    ]
     assert events
     assert [e.time for e in events] == sorted(e.time for e in events)
 
 
 def test_timeline_and_matrix_render():
-    tr = TraceRecorder()
-    run_spmd(3, ring, trace=tr, machine=SPARCCENTER_1000)
-    timeline = tr.render_timeline(3)
+    tr = traced(3, ring, machine=SPARCCENTER_1000)
+    timeline = render_timeline(tr, 3)
     assert "rank  0" in timeline and ">" in timeline
-    matrix = tr.render_matrix(3)
+    matrix = render_matrix(tr, 3)
     assert "rank  2" in matrix
 
 
 def test_empty_timeline():
-    assert "(no traffic)" in TraceRecorder().render_timeline(2)
+    assert "(no traffic)" in render_timeline(Tracer(), 2)
 
 
 def test_collectives_traced():
-    tr = TraceRecorder()
-    run_spmd(4, lambda comm: comm.allreduce(1), trace=tr)
-    assert tr.total_messages() > 0
+    assert total_messages(traced(4, lambda comm: comm.allreduce(1))) > 0
 
 
 class TestRequest:
@@ -135,56 +146,57 @@ class TestRequest:
 
 class TestCollectiveEvents:
     def test_collective_events_carry_op_names(self):
-        tr = TraceRecorder()
-
         def prog(comm):
             comm.barrier()
             v = comm.allreduce(comm.rank)
             comm.bcast(v, root=0)
             return v
 
-        run_spmd(4, prog, trace=tr)
-        by_op = tr.collectives_by_op()
+        tr = traced(4, prog)
+        by_op = collectives_by_op(tr)
         # barrier/allreduce are composed from the reduce+bcast primitives,
-        # so those are the op names that reach the recorder.
+        # so those are the op names that reach the tracer.
         assert by_op.get("reduce", 0) >= 1
         assert by_op.get("bcast", 0) >= 1
-        assert tr.total_collectives() == sum(by_op.values())
+        colls = [e for e in tr.comm_events() if e.kind == "collective"]
+        assert len(colls) == sum(by_op.values())
 
     def test_collective_events_use_sentinel_peer(self):
-        tr = TraceRecorder()
-        run_spmd(3, lambda comm: comm.allreduce(1), trace=tr)
-        colls = [e for e in tr.events if e.kind == "collective"]
+        tr = traced(3, lambda comm: comm.allreduce(1))
+        colls = [e for e in tr.comm_events() if e.kind == "collective"]
         assert colls
         assert all(e.peer == -1 for e in colls)
 
     def test_collective_events_excluded_from_message_totals(self):
-        tr = TraceRecorder()
-        run_spmd(3, lambda comm: comm.allreduce(1), trace=tr)
-        sends = sum(1 for e in tr.events if e.kind == "send")
-        assert tr.total_messages() == sends
-        assert tr.total_collectives() > 0
+        tr = traced(3, lambda comm: comm.allreduce(1))
+        sends = sum(1 for e in tr.comm_events() if e.kind == "send")
+        assert total_messages(tr) == sends
+        assert sum(collectives_by_op(tr).values()) > 0
 
     def test_timeline_skips_collective_markers(self):
-        tr = TraceRecorder()
-        run_spmd(3, lambda comm: comm.barrier(), trace=tr)
+        tr = traced(3, lambda comm: comm.barrier())
         # markers alone don't crash or pollute the lane renderer
-        timeline = tr.render_timeline(3)
+        timeline = render_timeline(tr, 3)
         assert "rank  0" in timeline
 
     def test_record_is_thread_safe(self):
+        """Rank threads record concurrently into one tracer; every event
+        lands on its own rank's span."""
         import threading
 
-        tr = TraceRecorder()
+        tr = Tracer()
 
         def spin(rank):
-            for i in range(500):
-                tr.record("send", float(i), rank, (rank + 1) % 4, 1, 8)
+            with tr.span("rank", rank=rank):
+                for _ in range(500):
+                    tr.comm_event("send", rank, (rank + 1) % 4, 1, 8)
 
         threads = [threading.Thread(target=spin, args=(r,)) for r in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert len(tr.events) == 2000
-        assert tr.total_messages() == 2000
+        assert len(tr.comm_events()) == 2000
+        assert total_messages(tr) == 2000
+        for root in tr.roots:
+            assert {e.rank for e in root.events} == {root.tags["rank"]}

@@ -25,7 +25,7 @@ from repro.faults import (
 )
 from repro.geometry import Point
 from repro.mpi.runtime import TRANSPORTS, RankError, run_spmd
-from repro.mpi.trace import TraceRecorder
+from repro.obs import Tracer
 from repro.parallel.driver import route_parallel
 from repro.steiner.tree import TreeSet, build_net_tree
 from repro.twgr.config import RouterConfig
@@ -217,11 +217,11 @@ def test_routing_parity_across_transports(name, scale, algorithm):
     config = RouterConfig(seed=1)
     runs, traces = {}, {}
     for transport in ("inprocess", "multiprocess"):
-        traces[transport] = TraceRecorder()
+        traces[transport] = Tracer()
         runs[transport] = route_parallel(
             circuit, algorithm=algorithm, nprocs=2, config=config,
             compute_baseline=False, transport=transport,
-            trace=traces[transport],
+            obs=traces[transport],
         )
     ref, out = runs["inprocess"], runs["multiprocess"]
     assert out.result.total_tracks == ref.result.total_tracks
@@ -231,11 +231,12 @@ def test_routing_parity_across_transports(name, scale, algorithm):
     # the modeled logical clocks must agree exactly, transport or not
     assert out.result.model_time == ref.result.model_time
     assert out.timing.rank_times == ref.timing.rank_times
-    # same messages with the same modeled sizes
+    # same messages with the same modeled sizes; the multiprocess ranks'
+    # events reach the parent only inside their shipped span trees
     sends = {
         transport: sorted(
             (e.rank, e.peer, e.tag, e.nbytes)
-            for e in trace.events if e.kind == "send"
+            for e in trace.comm_events() if e.kind == "send"
         )
         for transport, trace in traces.items()
     }

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from repro.mpi.trace import TraceRecorder
 from repro.obs.sinks import (
     chrome_trace,
     render_flamegraph,
@@ -14,11 +13,23 @@ from repro.obs.sinks import (
 from repro.obs.tracer import Tracer
 
 
-def _traced_run() -> Tracer:
+class _Clock:
+    time = 0.0
+
+
+def _traced_run(*comm: tuple) -> Tracer:
+    """Two ranks' step spans; rank 0's step 1 records the ``comm``
+    events, each a ``(kind, sim_time, peer, tag, nbytes, op)`` tuple."""
     tr = Tracer()
+    clock = _Clock()
     with tr.span("rank", rank=0, nprocs=2):
         with tr.span("step1_steiner", step=1):
             tr.add_metric("ops.mst", 10)
+            tr.bind_clock(clock)
+            for kind, t, peer, tag, nbytes, op in comm:
+                clock.time = t
+                tr.comm_event(kind, 0, peer, tag, nbytes, op)
+            tr.bind_clock(None)
         with tr.span("step2_coarse", step=2):
             pass
     with tr.span("rank", rank=1, nprocs=2):
@@ -28,26 +39,29 @@ def _traced_run() -> Tracer:
 
 
 def test_jsonl_writes_spans_and_comm_events(tmp_path):
-    tr = _traced_run()
-    rec = TraceRecorder()
-    rec.record("send", 0.1, 0, 1, 5, 64)
-    rec.record("collective", 0.2, 0, -1, -1, 0, op="bcast")
+    tr = _traced_run(
+        ("send", 0.1, 1, 5, 64, ""), ("collective", 0.2, -1, -1, 0, "bcast"),
+    )
     path = tmp_path / "trace.jsonl"
-    n = write_jsonl(path, tr, rec)
+    n = write_jsonl(path, tr)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == n == 5 + 2  # 5 spans + 2 comm events
     spans = [l for l in lines if l["type"] == "span"]
     comm = [l for l in lines if l["type"] == "comm"]
     assert {s["name"] for s in spans} >= {"rank", "step1_steiner", "step2_coarse"}
     assert spans[0]["depth"] == 0 and spans[1]["depth"] == 1
+    # comm events are rows of their own, not span fields
+    assert all("events" not in s for s in spans)
+    assert comm[0] == {
+        "type": "comm", "kind": "send", "time": 0.1, "rank": 0, "peer": 1,
+        "tag": 5, "nbytes": 64, "op": "",
+    }
     assert comm[1]["op"] == "bcast"
 
 
 def test_chrome_trace_structure(tmp_path):
-    tr = _traced_run()
-    rec = TraceRecorder()
-    rec.record("send", 0.0, 0, 1, 5, 64)
-    payload = chrome_trace(tr, rec)
+    tr = _traced_run(("send", 0.0, 1, 5, 64, ""))
+    payload = chrome_trace(tr)
     events = payload["traceEvents"]
     xs = [e for e in events if e["ph"] == "X"]
     instants = [e for e in events if e["ph"] == "i"]
@@ -64,7 +78,7 @@ def test_chrome_trace_structure(tmp_path):
     assert s1["args"]["ops.mst"] == 10.0
 
     path = tmp_path / "chrome.json"
-    count = write_chrome_trace(path, tr, rec)
+    count = write_chrome_trace(path, tr)
     assert count == len(events)
     loaded = json.loads(path.read_text())
     assert loaded["traceEvents"]

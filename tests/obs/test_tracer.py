@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.perfmodel.counter import NULL_COUNTER, TallyCounter
+from repro.obs.tracer import NULL_TRACER, CommEvent, NullTracer, Span, Tracer
+from repro.perfmodel.counter import TallyCounter
 
 
 def test_spans_nest_and_close():
@@ -52,17 +52,66 @@ def test_metric_outside_any_span_is_dropped():
     assert tr.roots == []
 
 
-def test_wrap_counter_charges_sink_and_span():
+def test_bound_work_tally_attributes_own_ops():
+    """Each span keeps the units charged while it was innermost; charges
+    before any span, or after the tally is unbound, go nowhere."""
     tr = Tracer()
     tally = TallyCounter()
-    cnt = tr.wrap_counter(tally)
-    with tr.span("step1_steiner", step=1):
-        cnt.add("mst", 10)
-        cnt.add("mst", 5)
-        cnt.add("refine", 2)
-    assert tally.units == {"mst": 15.0, "refine": 2.0}
-    span = tr.roots[0]
-    assert span.metrics == {"ops.mst": 15.0, "ops.refine": 2.0}
+    tally.add("mst", 100)  # charged before binding: not a span's
+    tr.bind_work(tally.units)
+    tally.add("mst", 7)  # charged before any span opened
+    with tr.span("route"):
+        tally.add("mst", 10)
+        with tr.span("step1_steiner", step=1):
+            tally.add("mst", 5)
+            tally.add("refine", 2)
+        tally.add("mst", 1)
+    tr.bind_work(None)
+    with tr.span("unbound"):
+        tally.add("mst", 3)
+    route, unbound = tr.roots
+    assert route.metrics == {"ops.mst": 11.0}
+    assert route.children[0].metrics == {"ops.mst": 5.0, "ops.refine": 2.0}
+    assert unbound.metrics == {}
+
+
+def test_comm_event_rides_innermost_span_and_adds_metrics():
+    tr = Tracer()
+    clock = _FakeClock()
+    tr.bind_clock(clock)
+    tr.comm_event("send", 0, 1, 5, 64)  # no open span: dropped
+    with tr.span("rank", rank=0):
+        clock.time = 0.5
+        with tr.span("step1_steiner", step=1):
+            tr.comm_event("send", 0, 1, 5, 64)
+            tr.comm_event("collective", 0, -1, -1, 0, "bcast")
+        clock.time = 0.75
+        tr.comm_event("recv", 0, 1, 5, 32)
+    tr.bind_clock(None)
+    rank = tr.roots[0]
+    step = rank.children[0]
+    # events are not spans
+    assert [s.name for s in tr.walk()] == ["rank", "step1_steiner"]
+    assert step.events == [
+        CommEvent("send", 0.5, 0, 1, 5, 64),
+        CommEvent("collective", 0.5, 0, -1, -1, 0, "bcast"),
+    ]
+    assert step.metrics == {"msg.sent": 1, "msg.bytes": 64, "coll.bcast": 1}
+    assert rank.events == [CommEvent("recv", 0.75, 0, 1, 5, 32)]
+    assert rank.metrics == {}
+    # the run-wide log is in simulated-time order, across the span tree
+    assert [e.kind for e in tr.comm_events()] == ["send", "collective", "recv"]
+
+
+def test_comm_events_survive_span_round_trip():
+    tr = Tracer()
+    with tr.span("rank", rank=1):
+        tr.comm_event("send", 1, 0, -3, 12, "gather")
+    rebuilt = Span.from_dict(tr.roots[0].to_dict())
+    assert rebuilt.events == tr.roots[0].events
+    merged = Tracer()
+    merged.adopt([rebuilt])
+    assert merged.comm_events() == [CommEvent("send", 0.0, 1, 0, -3, 12, "gather")]
 
 
 class _FakeClock:
@@ -141,8 +190,7 @@ def test_null_tracer_is_inert_and_identity():
     nt.add_metric("m", 1)
     nt.event("e")
     nt.bind_clock(_FakeClock())
+    nt.bind_work({"mst": 1.0})
+    nt.comm_event("send", 0, 1, 0, 8)
     assert list(nt.walk()) == []
     assert nt.step_totals() == {}
-    # wrap_counter must be the identity: untraced hot paths keep their
-    # original counter object.
-    assert nt.wrap_counter(NULL_COUNTER) is NULL_COUNTER
