@@ -383,17 +383,17 @@ class ExperimentOutcome:
             "schema": SPEC_SCHEMA,
             "spec": self.spec.to_dict(),
             "records": [r.to_dict() for r in self.records],
-            "failures": [
-                {
-                    "point": f.point.describe(),
-                    "error_type": f.error_type,
-                    "message": f.message,
-                    "attempts": f.attempts,
-                }
-                for f in self.failures
-            ],
+            "failures": [_failure_entry(f) for f in self.failures],
             "retries": self.retries,
         }
+
+
+def _failure_entry(failure: PointFailure) -> Dict[str, Any]:
+    """One ledger entry; a contained SPMD crash adds its report."""
+    entry = failure.to_dict()
+    if failure.report is not None:
+        entry["report"] = failure.report.to_dict()
+    return entry
 
 
 def run_experiment(

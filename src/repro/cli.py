@@ -14,13 +14,12 @@ Commands
     Regenerate one of the paper's tables/figures (or an ablation) from
     an experiment spec (default: the shipped paper grid,
     ``benchmarks/specs/paper_suite.toml``).
-``trace``
-    Route in parallel while recording communication, then print the
-    message timeline and the bytes-sent matrix; ``--chrome``/``--jsonl``
-    export the span trace, ``--flame`` renders a text flamegraph.
 ``profile``
-    Route one circuit and print its per-step time/ops/bytes profile;
-    ``--diff`` compares against a saved profile and flags regressions.
+    Route one circuit and print its per-step time/ops/bytes profile; a
+    freshly routed parallel run adds its message totals, timeline and
+    bytes-sent matrix.  ``--chrome``/``--jsonl`` export the span trace,
+    ``--flame`` renders a text flamegraph, and ``--diff`` compares
+    against a saved profile and flags regressions.
 ``cache``
     Inspect or clear the on-disk run cache (``stats`` reports session
     and lifetime hit rates).
@@ -39,13 +38,13 @@ Commands
     and answers with embedded run records (``POST /route``), Prometheus
     metrics (``GET /metrics``), and queue/cache stats (``GET /stats``).
 
-The routing commands (``route``, ``compare``, ``artifact``, ``profile``)
-execute through the sweep engine (:mod:`repro.exec`): ``--jobs`` fans
-independent runs out across worker processes, and ``--cache`` /
-``--cache-dir`` replay previously computed runs from a
-content-addressed on-disk cache instead of recomputing them.  The
-cache's lifetime hit/miss/store tallies reach disk once, when the
-command exits.
+Every command routes through the sweep engine (:mod:`repro.exec`)
+except ``stats``, whose congestion report reads the routed channel
+spans that no run record carries.  ``--jobs`` fans independent runs out
+across worker processes, and ``--cache`` / ``--cache-dir`` replay
+previously computed runs from a content-addressed on-disk cache instead
+of recomputing them.  The cache's lifetime hit/miss/store tallies reach
+disk once, when the command exits.
 
 ``--quiet`` suppresses progress/context lines (tables and results still
 print); ``--verbose`` enables debug logging.
@@ -58,7 +57,7 @@ import logging
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.analysis.records import save_results
 from repro.circuits import mcnc
@@ -263,24 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default .repro_cache / REPRO_CACHE_DIR)",
     )
 
-    p_tr = sub.add_parser("trace", help="route in parallel and show the comm trace")
-    _add_common(p_tr)
-    p_tr.add_argument(
-        "--algorithm", default="hybrid", choices=("rowwise", "netwise", "hybrid")
-    )
-    p_tr.add_argument("--nprocs", type=int, default=4)
-    p_tr.add_argument(
-        "--chrome", metavar="PATH",
-        help="write the span trace in Chrome trace-event format "
-        "(load in chrome://tracing or Perfetto)",
-    )
-    p_tr.add_argument(
-        "--jsonl", metavar="PATH", help="write flattened spans + comm events as JSONL"
-    )
-    p_tr.add_argument(
-        "--flame", action="store_true", help="render a text flamegraph of the spans"
-    )
-
     p_prof = sub.add_parser(
         "profile", help="per-step time/ops/bytes profile of one routed circuit"
     )
@@ -310,6 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--threshold", type=float, default=0.25,
         help="regression threshold for --diff (fraction, default 0.25)",
+    )
+    p_prof.add_argument(
+        "--chrome", metavar="PATH",
+        help="write the span trace in Chrome trace-event format "
+        "(load in chrome://tracing or Perfetto)",
+    )
+    p_prof.add_argument(
+        "--jsonl", metavar="PATH", help="write flattened spans + comm events as JSONL"
+    )
+    p_prof.add_argument(
+        "--flame", action="store_true", help="render a text flamegraph of the spans"
     )
     _add_engine(p_prof)
 
@@ -440,8 +432,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     """Route one circuit and print (optionally save) the metrics."""
     from repro.exec import SweepPoint
 
-    circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
-    log.info("circuit: %s", circuit)
     point = SweepPoint(
         circuit=args.circuit, algorithm=args.algorithm,
         nprocs=1 if args.algorithm == "serial" else args.nprocs,
@@ -450,6 +440,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             seed=args.seed, transport=args.transport
         ),
     )
+    log.info("point: %s", point.describe())
     with _open_cache(args) as cache:
         outcome = _sweep([point], args.jobs, cache)
     if not outcome.ok:
@@ -476,8 +467,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.tables import Table
     from repro.exec import SweepPoint
 
-    circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
-    machine = MACHINES[args.machine]
     config = RouterConfig(
         seed=args.seed, transport=args.transport
     )
@@ -492,6 +481,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     points = [point("serial")] + [
         point(a, p) for a in algorithms for p in args.procs
     ]
+    log.info("baseline: %s", points[0].describe())
     with _open_cache(args) as cache:
         outcome = _sweep(points, args.jobs, cache)
     if not outcome.ok:
@@ -501,18 +491,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     runs = {
         (rec.algorithm, rec.nprocs): rec.parallel_run() for rec in records[1:]
     }
-    log.info("circuit: %s", circuit)
     base_time = (
         f"{base.model_time:.1f}s modeled" if base.model_time is not None
         else "timeout (memory gate)"
     )
     print(f"serial : {base.total_tracks} tracks, {base_time}\n")
     quality = Table(
-        title=f"Scaled tracks on {circuit.name}",
+        title=f"Scaled tracks on {base.circuit_name}",
         columns=["algorithm"] + [f"{p}p" for p in args.procs],
     )
     speed = Table(
-        title=f"Modeled speedup on {circuit.name} ({machine.name})",
+        title=f"Modeled speedup on {base.circuit_name} ({args.machine})",
         columns=["algorithm"] + [f"{p}p" for p in args.procs],
     )
     for algo in algorithms:
@@ -599,55 +588,41 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Route with the span tracer; render/export its spans and comm events."""
+def _print_comm(tracer, nprocs: int) -> None:
+    """Message totals, the per-rank timeline and the bytes-sent matrix."""
     from repro.mpi import trace
-    from repro.obs import Tracer, render_flamegraph, write_chrome_trace, write_jsonl
-    from repro.parallel.driver import route_parallel
 
-    circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
-    config = RouterConfig(
-        seed=args.seed, transport=args.transport
-    )
-    machine = MACHINES[args.machine]
-    tracer = Tracer()
-    run = route_parallel(
-        circuit, algorithm=args.algorithm, nprocs=args.nprocs,
-        machine=machine, config=config, compute_baseline=False, obs=tracer,
-    )
-    print(run.result.summary())
     colls = trace.collectives_by_op(tracer)
     coll_text = ", ".join(f"{op}×{n}" for op, n in sorted(colls.items())) or "none"
     print(
         f"messages: {trace.total_messages(tracer):,}, "
         f"bytes: {trace.total_bytes(tracer):,}, collectives: {coll_text}\n"
     )
-    print(trace.render_timeline(tracer, args.nprocs))
+    print(trace.render_timeline(tracer, nprocs))
     print()
-    print(trace.render_matrix(tracer, args.nprocs))
-    if args.flame:
-        print()
-        print(render_flamegraph(tracer))
-    if args.chrome:
-        write_chrome_trace(args.chrome, tracer)
-        print(f"chrome trace written to {args.chrome}")
-    if args.jsonl:
-        write_jsonl(args.jsonl, tracer)
-        print(f"jsonl trace written to {args.jsonl}")
-    return 0
+    print(trace.render_matrix(tracer, nprocs))
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Route one circuit and print (optionally diff) its step profile."""
+    """Route one circuit and print (optionally diff) its step profile.
+
+    A freshly routed record carries its run's spans, so a parallel run
+    also prints its communication and ``--chrome``/``--jsonl``/``--flame``
+    render the trace; a cache replay has no spans to render.
+    """
     import json as _json
 
     from repro.exec import SweepPoint
     from repro.obs import (
         REGISTRY,
         RunProfile,
+        Tracer,
         profile_diff,
+        render_flamegraph,
         render_histograms,
         render_profile,
+        write_chrome_trace,
+        write_jsonl,
     )
 
     point = SweepPoint(
@@ -663,6 +638,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if not outcome.ok:
         return outcome.exit_code
     record = outcome.records[0]
+    if (args.chrome or args.jsonl or args.flame) and not record.spans:
+        print("no trace: the run was replayed from the cache, which keeps no spans")
+        return 1
     profile = record.run_profile()
     if profile is None:
         print("record carries no profile (cached under an old schema?)")
@@ -674,10 +652,24 @@ def cmd_profile(args: argparse.Namespace) -> int:
         }
     log.info("%s%s", point.describe(), "  (cached)" if record.cached else "")
     print(render_profile(profile))
+    tracer = Tracer()
+    tracer.adopt(record.spans)
+    if record.spans and record.algorithm != "serial":
+        print()
+        _print_comm(tracer, record.nprocs)
     histograms = render_histograms(REGISTRY.snapshot())
     if histograms:
         print()
         print(histograms)
+    if args.flame:
+        print()
+        print(render_flamegraph(tracer))
+    if args.chrome:
+        write_chrome_trace(args.chrome, tracer)
+        print(f"chrome trace written to {args.chrome}")
+    if args.jsonl:
+        write_jsonl(args.jsonl, tracer)
+        print(f"jsonl trace written to {args.jsonl}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(profile.to_dict(), fh, indent=2)
@@ -717,9 +709,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fired_summary(plan) -> str:
+def _fired_summary(fired: Dict[str, List[str]]) -> str:
     """One line per injection stream: ``rank0: 3 event(s) [first...]``."""
-    fired = plan.fired()
     if not fired:
         return "injected events: none"
     lines = ["injected events:"]
@@ -730,65 +721,66 @@ def _fired_summary(plan) -> str:
     return "\n".join(lines)
 
 
-def _chaos_spmd(args: argparse.Namespace, plan) -> int:
-    """Route one circuit under ``plan``; print result or containment report."""
-    from repro.exec.engine import DEGRADED_EXIT
-    from repro.mpi.runtime import RankError
-    from repro.parallel.driver import route_parallel
+def _chaos_point(args: argparse.Namespace, fault_plan: str = "") -> "SweepPoint":
+    """The parallel point ``chaos`` routes, carrying SPMD plan ``fault_plan``."""
+    from repro.exec import SweepPoint
 
-    circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
-    machine = MACHINES[args.machine]
-    log.info("circuit: %s", circuit)
-    log.info("plan   : %s (fault seed %d)", args.plan, args.fault_seed)
-    try:
-        run = route_parallel(
-            circuit, algorithm=args.algorithm, nprocs=args.nprocs,
-            machine=machine,
-            config=RouterConfig(
-                seed=args.seed, transport=args.transport
-            ),
-            compute_baseline=False, faults=plan,
-        )
-    except RankError as exc:
-        report = exc.report
-        if report is None:
-            raise
-        print(report.render())
-        print(_fired_summary(plan))
-        return DEGRADED_EXIT
-    print(f"run survived the fault plan: {run.result.summary()}")
-    print(f"modeled time: {run.timing.elapsed:.3f}s")
-    print(_fired_summary(plan))
-    return 0
+    return SweepPoint(
+        circuit=args.circuit, algorithm=args.algorithm, nprocs=args.nprocs,
+        scale=args.scale, circuit_seed=args.seed, machine=args.machine,
+        config=RouterConfig(seed=args.seed, transport=args.transport),
+        fault_plan=fault_plan, fault_seed=args.fault_seed if fault_plan else 0,
+    )
+
+
+def _spmd_sweep(point: "SweepPoint") -> "SweepOutcome":
+    """Route a fault-plan point once: never cached, never retried."""
+    from repro.exec import run_sweep_salvage
+
+    return run_sweep_salvage([point], jobs=1, cache=None, max_retries=0)
 
 
 def _chaos_sweep(args: argparse.Namespace, plan) -> int:
-    """Run a two-point salvage sweep under an engine-level fault plan."""
+    """Route under ``plan`` through the sweep engine; print the outcome.
+
+    An SPMD plan rides on the parallel point (see :func:`_spmd_sweep`),
+    and the command prints the surviving run or the crash's containment
+    report.  An engine-level plan (cache or point faults) drives a
+    salvage sweep over the point and its serial baseline instead.
+    """
     import tempfile
 
-    from repro.exec import RunCache, SweepPoint, run_sweep_salvage
-    from repro.faults.plan import CacheIOFault
+    from repro.exec import RunCache, run_sweep_salvage
+    from repro.exec.engine import DEGRADED_EXIT
+    from repro.faults.plan import CacheIOFault, PointFault
 
-    config = RouterConfig(
-        seed=args.seed, transport=args.transport
-    )
-    points = [
-        SweepPoint(
-            circuit=args.circuit, algorithm="serial", scale=args.scale,
-            circuit_seed=args.seed, machine=args.machine, config=config,
-        ),
-        SweepPoint(
-            circuit=args.circuit, algorithm=args.algorithm, nprocs=args.nprocs,
-            scale=args.scale, circuit_seed=args.seed, machine=args.machine,
-            config=config,
-        ),
-    ]
+    if not any(isinstance(f, (CacheIOFault, PointFault)) for f in plan.faults):
+        point = _chaos_point(args, args.plan)
+        log.info("point  : %s", point.describe())
+        log.info("plan   : %s (fault seed %d)", args.plan, args.fault_seed)
+        outcome = _spmd_sweep(point)
+        if outcome.failures:
+            failure = outcome.failures[0]
+            if failure.report is None:
+                print(failure.describe())
+                return 1
+            print(failure.report.render())
+            print(_fired_summary(failure.fired))
+            return DEGRADED_EXIT
+        record = outcome.records[0]
+        print(f"run survived the fault plan: {record.routing_result().summary()}")
+        print(f"modeled time: {record.timing_report().elapsed:.3f}s")
+        print(_fired_summary(record.fired))
+        return 0
+
+    point = _chaos_point(args)
     with tempfile.TemporaryDirectory(prefix="repro_chaos_") as tmp:
         cache = None
         if any(isinstance(f, CacheIOFault) for f in plan.faults):
             cache = RunCache(tmp, faults=plan)
         outcome = run_sweep_salvage(
-            points, jobs=1, cache=cache, faults=plan, backoff_s=0.01
+            [point.baseline_point(), point], jobs=1, cache=cache, faults=plan,
+            backoff_s=0.01,
         )
     print(f"salvage sweep: {outcome.summary()}")
     for rec in outcome.records:
@@ -798,52 +790,38 @@ def _chaos_sweep(args: argparse.Namespace, plan) -> int:
         )
     for failure in outcome.failures:
         print(f"  lost : {failure.describe()}")
-    print(_fired_summary(plan))
+    print(_fired_summary(plan.fired()))
     return outcome.exit_code
 
 
 def _chaos_smoke(args: argparse.Namespace) -> int:
     """CI mini-suite: crash containment, delay replay, retry salvage."""
-    from repro.exec import SweepPoint, run_sweep_salvage
-    from repro.faults import FaultPlan, PointFault, make_plan
-    from repro.mpi.runtime import RankError
-    from repro.parallel.driver import route_parallel
-
-    machine = MACHINES[args.machine]
-    config = RouterConfig(
-        seed=args.seed, transport=args.transport
-    )
-    circuit = mcnc.generate(args.circuit, scale=args.scale, seed=args.seed)
-
-    def spmd(plan):
-        return route_parallel(
-            circuit, algorithm=args.algorithm, nprocs=args.nprocs,
-            machine=machine, config=config, compute_baseline=False, faults=plan,
-        )
+    from repro.exec import run_sweep_salvage
+    from repro.faults import FaultPlan, PointFault
 
     # 1. a mid-step crash is contained and fully attributed
-    plan = make_plan("crash-step3", args.nprocs, args.fault_seed)
-    try:
-        spmd(plan)
-    except RankError as exc:
-        report = exc.report
-        if report is None or not report.injected:
-            print("FAIL: crash report missing or not marked injected")
-            return 1
-        if len(report.ranks) != args.nprocs:
-            print("FAIL: containment report does not cover every rank")
-            return 1
-    else:
+    outcome = _spmd_sweep(_chaos_point(args, "crash-step3"))
+    if outcome.ok:
         print("FAIL: injected crash did not surface as RankError")
+        return 1
+    report = outcome.failures[0].report
+    if report is None or not report.injected:
+        print("FAIL: crash report missing or not marked injected")
+        return 1
+    if len(report.ranks) != args.nprocs:
+        print("FAIL: containment report does not cover every rank")
         return 1
     print(f"ok: crash contained (origin rank {report.failed_rank}, {report.step})")
 
     # 2. the same seeded delay plan replays bit-identically
     runs = []
     for _ in range(2):
-        plan = make_plan("message-delay", args.nprocs, args.fault_seed)
-        run = spmd(plan)
-        runs.append((plan.fired(), run.result.total_tracks, run.timing.elapsed))
+        outcome = _spmd_sweep(_chaos_point(args, "message-delay"))
+        if not outcome.ok:
+            print(f"FAIL: delay plan run was lost ({outcome.failures[0].describe()})")
+            return 1
+        rec = outcome.records[0]
+        runs.append((rec.fired, rec.result["total_tracks"], rec.timing_report().elapsed))
     if runs[0] != runs[1]:
         print("FAIL: seeded delay plan did not replay identically")
         return 1
@@ -851,10 +829,7 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
 
     # 3. a transiently failing point is retried and salvaged
     plan = FaultPlan(args.fault_seed, (PointFault(match="", fail_times=1),))
-    point = SweepPoint(
-        circuit=args.circuit, algorithm="serial", scale=args.scale,
-        circuit_seed=args.seed, machine=args.machine, config=config,
-    )
+    point = _chaos_point(args).baseline_point()
     outcome = run_sweep_salvage([point], jobs=1, faults=plan, backoff_s=0.01)
     if not outcome.ok or outcome.retries < 1:
         print(f"FAIL: salvage did not retry/recover ({outcome.summary()})")
@@ -955,20 +930,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     failure was contained, 1 only for harness-level errors.
     """
     from repro.faults import make_plan
-    from repro.faults.plan import CacheIOFault, PointFault
 
     if args.smoke:
         return _chaos_smoke(args)
     if args.service:
         return _chaos_service(args)
-    plan = make_plan(args.plan, args.nprocs, args.fault_seed)
-    engine_level = any(
-        isinstance(f, (CacheIOFault, PointFault))
-        for f in getattr(plan, "faults", ())
-    )
-    if engine_level:
-        return _chaos_sweep(args, plan)
-    return _chaos_spmd(args, plan)
+    return _chaos_sweep(args, make_plan(args.plan, args.nprocs, args.fault_seed))
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -1079,7 +1046,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "artifact": cmd_artifact,
     "cache": cmd_cache,
-    "trace": cmd_trace,
     "profile": cmd_profile,
     "stats": cmd_stats,
     "chaos": cmd_chaos,

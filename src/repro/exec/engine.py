@@ -17,9 +17,9 @@ is the one driver that executes a batch of points:
 Steps 2 and 3 share :func:`_run_tasks`: a parent-side fault gate, first
 attempts fanned out over a ``ProcessPoolExecutor`` (each worker
 regenerates its circuit from the spec — specs pickle in microseconds,
-circuits would not — and returns a compact
-:class:`~repro.exec.record.RunRecord` dict), then inline retries of the
-points that failed.  ``jobs=1``, a one-core host, a single task, or any
+circuits would not — and returns its
+:class:`~repro.exec.record.RunRecord`, run spans included, or its
+:class:`PointFailure`), then inline retries of the points that failed.  ``jobs=1``, a one-core host, a single task, or any
 pool failure all degrade to plain in-process execution of the identical
 code path, so results never depend on how they were scheduled.
 
@@ -42,6 +42,7 @@ from repro.circuits import mcnc
 from repro.circuits.model import CircuitStats
 from repro.exec.cache import RunCache, cache_key
 from repro.exec.record import RunRecord, record_from_results
+from repro.faults.report import RunFailure
 from repro.parallel.driver import ParallelConfig, route_parallel, serial_baseline
 from repro.perfmodel.machine import MACHINES
 from repro.twgr.config import RouterConfig
@@ -222,42 +223,49 @@ def _execute(point: SweepPoint, baseline: Optional[RoutingResult]) -> RunRecord:
     so all records carry a :class:`~repro.obs.profile.RunProfile` and
     cached replays keep their telemetry.  Tracing is passive (see
     :mod:`repro.obs`): routed metrics are bit-identical with or without it.
+    The fresh record also keeps the tracer's root spans and, for a
+    fault-plan point, the plan's injection log; a contained SPMD crash
+    carries that log out on its :class:`~repro.mpi.runtime.RankError`.
     """
+    from repro.faults import NULL_FAULT_PLAN, make_plan
+    from repro.mpi.runtime import RankError
     from repro.obs.profile import profile_from_tracer
     from repro.obs.tracer import Tracer
 
     circuit = mcnc.generate(point.circuit, scale=point.scale, seed=point.circuit_seed)
     machine = MACHINES[point.machine]
     tracer = Tracer()
+    faults = NULL_FAULT_PLAN
     t0 = time.perf_counter()
     if point.algorithm == "serial":
-        result = serial_baseline(
+        run_result = serial_baseline(
             circuit,
             point.config,
             machine=machine,
             memory_stats=_full_scale_stats(point.circuit),
             tracer=tracer,
         )
-        run_result = result
+        timing = None
     else:
-        faults = None
         if point.fault_plan:
-            from repro.faults import make_plan
-
             faults = make_plan(point.fault_plan, point.nprocs, point.fault_seed)
-        run = route_parallel(
-            circuit,
-            algorithm=point.algorithm,
-            nprocs=point.nprocs,
-            machine=machine,
-            config=point.config,
-            pconfig=point.pconfig,
-            baseline=baseline,
-            compute_baseline=False,
-            obs=tracer,
-            faults=faults,
-        )
-        run_result = run.result
+        try:
+            run = route_parallel(
+                circuit,
+                algorithm=point.algorithm,
+                nprocs=point.nprocs,
+                machine=machine,
+                config=point.config,
+                pconfig=point.pconfig,
+                baseline=baseline,
+                compute_baseline=False,
+                obs=tracer,
+                faults=faults,
+            )
+        except RankError as exc:
+            exc.fired = faults.fired()
+            raise
+        run_result, timing = run.result, run.timing
     host_seconds = time.perf_counter() - t0
     # stamp the transport only when it is a real-parallelism one: serial
     # points have no transport, and the in-process default stays implicit
@@ -276,20 +284,18 @@ def _execute(point: SweepPoint, baseline: Optional[RoutingResult]) -> RunRecord:
         transport=transport,
         model_time=run_result.model_time,
     )
-    if point.algorithm == "serial":
-        return record_from_results(
-            point, result, profile=profile.to_dict(), key=point.key(),
-            host_seconds=host_seconds,
-        )
-    return record_from_results(
+    record = record_from_results(
         point,
-        run.result,
-        timing=run.timing,
+        run_result,
+        timing=timing,
         baseline=baseline,
         profile=profile.to_dict(),
         key=point.key(),
         host_seconds=host_seconds,
     )
+    record.spans = tracer.roots
+    record.fired = faults.fired()
+    return record
 
 
 def _observe_record(record: RunRecord) -> RunRecord:
@@ -307,10 +313,6 @@ def _observe_record(record: RunRecord) -> RunRecord:
     return record
 
 
-#: one attempt's outcome: ``("ok", record_dict, "")`` or
-#: ``("err", error_type_name, message)``
-Attempt = Tuple[str, Any, str]
-
 #: one unit of work: a point and its serial baseline's result dict
 #: (``None`` for serial points)
 Task = Tuple[SweepPoint, Optional[Dict[str, Any]]]
@@ -321,15 +323,20 @@ def _safe_worker(task: Task) -> Attempt:
 
     Exceptions become values, so one failing point never tears down the
     batch and the parent decides per point whether to retry or give up.
+    The record (spans included) or the failure pickles back to the parent.
     """
     from repro.analysis.records import result_from_dict  # avoids an import cycle
 
     point, baseline_dict = task
     try:
         baseline = result_from_dict(baseline_dict) if baseline_dict is not None else None
-        return ("ok", _execute(point, baseline).to_dict(), "")
+        return _execute(point, baseline)
     except Exception as exc:  # contained: reported per point
-        return ("err", type(exc).__name__, str(exc))
+        return PointFailure(
+            point, type(exc).__name__, str(exc), 1,
+            report=getattr(exc, "report", None),
+            fired=getattr(exc, "fired", {}),
+        )
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -375,18 +382,38 @@ def _map_tasks(tasks: Sequence[Any], jobs: int, worker: Any = _safe_worker) -> L
 
 @dataclass(slots=True)
 class PointFailure:
-    """One sweep point that still failed after every allowed retry."""
+    """One sweep point that still failed after every allowed retry.
+
+    A contained SPMD crash also keeps the run's
+    :class:`~repro.faults.report.RunFailure` post-mortem and the fault
+    plan's injection log (``fired``) of its last attempt.
+    """
 
     point: SweepPoint
     error_type: str
     message: str
     attempts: int
+    report: Optional[RunFailure] = None
+    fired: Dict[str, List[str]] = field(default_factory=dict)
 
     def describe(self) -> str:
         return (
             f"{self.point.describe()}: {self.error_type}: {self.message} "
             f"(after {self.attempts} attempt{'s' if self.attempts != 1 else ''})"
         )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe ledger entry (the report is left to the caller)."""
+        return {
+            "point": self.point.describe(),
+            "error_type": self.error_type,
+            "message": self.message,
+            "attempts": self.attempts,
+        }
+
+
+#: one attempt's outcome: the fresh record, or the failure it raised
+Attempt = Union[RunRecord, PointFailure]
 
 
 @dataclass(slots=True)
@@ -433,14 +460,14 @@ def _gate(point: SweepPoint, attempt: int, faults: Any) -> Optional[Attempt]:
     try:
         faults.on_point(point.describe(), attempt)
     except InjectedFault as exc:
-        return ("err", "InjectedFault", str(exc))
+        return PointFailure(point, "InjectedFault", str(exc), attempt)
     return None
 
 
 def _run_tasks(
     tasks: List[Task], njobs: int, faults: Any, max_retries: int, backoff_s: float,
-) -> Tuple[List[Union[Dict[str, Any], PointFailure]], int]:
-    """Drive each task to a record dict or a :class:`PointFailure`.
+) -> Tuple[List[Attempt], int]:
+    """Drive each task to a fresh record or a :class:`PointFailure`.
 
     Three steps: the fault gate for every first attempt; the first
     attempts that passed it fan out through :func:`_map_tasks`; then
@@ -454,43 +481,37 @@ def _run_tasks(
     pooled = [j for j, out in enumerate(firsts) if out is None]
     for j, out in zip(pooled, _map_tasks([tasks[j] for j in pooled], njobs)):
         firsts[j] = out
-    results: List[Union[Dict[str, Any], PointFailure]] = []
+    results: List[Attempt] = []
     retries = 0
     for task, out in zip(tasks, firsts):
         point = task[0]
         attempt = 1
-        while out[0] == "err" and attempt <= max_retries:
+        while isinstance(out, PointFailure) and attempt <= max_retries:
             attempt += 1
             retries += 1
             REGISTRY.counter("engine.retries").inc()
             time.sleep(retry_backoff_s(backoff_s, attempt, jitter_key=point.key()))
             out = _gate(point, attempt, faults) or _safe_worker(task)
-        if out[0] == "err":
-            failure = PointFailure(point, out[1], out[2], attempt)
-            log.warning("point lost: %s", failure.describe())
-            results.append(failure)
-            continue
-        payload = out[1]
-        if attempt > 1:
-            payload = dict(payload)
-            payload["attempts"] = attempt
-        results.append(payload)
+        out.attempts = attempt
+        if isinstance(out, PointFailure):
+            log.info("point lost: %s", out.describe())
+        results.append(out)
     return results, retries
 
 
-def _with_measured_serial(payload: Dict[str, Any], serial_s: float) -> Dict[str, Any]:
-    """``payload`` with its timing's ``measured_serial_s`` set.
+def _set_measured_serial(record: RunRecord, serial_s: float) -> None:
+    """Set ``record``'s timing ``measured_serial_s``.
 
     Only for a baseline routed in the same sweep call as the parallel
     point: a cached baseline's host seconds belong to another window, so
     it leaves the measured speedup unset.  The timing codec keeps the
     field only for real-parallelism transports.
     """
-    from repro.analysis.records import timing_from_dict, timing_to_dict
+    from repro.analysis.records import timing_to_dict
 
-    timing = timing_from_dict(payload["timing"])
+    timing = record.timing_report()
     timing.measured_serial_s = serial_s
-    return {**payload, "timing": timing_to_dict(timing)}
+    record.timing = timing_to_dict(timing)
 
 
 def run_sweep_salvage(
@@ -557,13 +578,13 @@ def run_sweep_salvage(
                 continue
             # a parallel point whose baseline this call routed (phase 1)
             base = records.get(base_key.get(key, ""))
-            if base is not None and not base.cached and out["timing"] is not None:
-                out = _with_measured_serial(out, base.host_seconds)
-            records[key] = _observe_record(RunRecord.from_dict(out))
+            if base is not None and not base.cached and out.timing is not None:
+                _set_measured_serial(out, base.host_seconds)
+            records[key] = _observe_record(out)
             if cache is None:
                 continue
             try:
-                cache.put(key, out)
+                cache.put(key, out.to_dict())
             except OSError as exc:
                 REGISTRY.counter("cache.put_errors").inc()
                 log.warning("cache write failed for %s (%s); continuing", key, exc)

@@ -11,7 +11,7 @@ JSON round-trips bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.parallel.driver import ParallelRun
 from repro.perfmodel.report import TimingReport
@@ -64,6 +64,13 @@ class RunRecord:
     #: (``{}`` for runs outside a declarative experiment); stamped
     #: parent-side by :func:`repro.analysis.specs.run_experiment`
     spec_coord: Dict[str, Any] = field(default_factory=dict)
+    #: root spans of the run's tracer (:class:`repro.obs.tracer.Span`)
+    #: when this process or a pool worker routed it; empty for a cache
+    #: replay.  Never serialized: a span tree would multiply the record's
+    #: JSON size and its encode cost.
+    spans: List[Any] = field(default_factory=list, repr=False, compare=False)
+    #: the fault plan's per-stream injection log (fault-plan points only)
+    fired: Dict[str, List[str]] = field(default_factory=dict, compare=False)
 
     # -- reconstruction -------------------------------------------------
     def routing_result(self) -> RoutingResult:
@@ -119,7 +126,8 @@ class RunRecord:
         """JSON-safe dict form (inverse of :meth:`from_dict`).
 
         ``spec_coord`` is emitted only when set, so records produced
-        outside a declarative experiment keep their pre-field shape.
+        outside a declarative experiment keep their pre-field shape;
+        ``spans`` and ``fired`` are never emitted.
         """
         out = {
             "format": "repro-run-record-v1",

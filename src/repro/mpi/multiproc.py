@@ -40,7 +40,7 @@ differs.
   the full timeout.
 * **Observability** — per-rank span trees (comm events included),
   logical-clock state, and message/byte totals are shipped back and
-  merged, so profiles and ``repro trace`` output look the same
+  merged, so profiles and ``repro profile`` traces look the same
   regardless of transport (child-process metrics counters are the one
   loss: they live in the child's registry and are not merged).
 

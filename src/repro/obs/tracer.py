@@ -291,8 +291,9 @@ class Tracer:
 
         Used by the multiprocess SPMD transport to merge the span trees
         shipped back from rank processes into the parent's tracer, so
-        profiles and ``repro trace`` see one tree regardless of
-        transport.
+        profiles and ``repro profile``'s comm view and trace exports see
+        one tree regardless of transport; ``repro profile`` also uses it
+        to rebuild a tracer from a run record's spans.
         """
         if not spans:
             return

@@ -307,15 +307,7 @@ class RoutingService:
                 "status": "degraded",
                 "key": key,
                 "retries": outcome.retries,
-                "failures": [
-                    {
-                        "point": f.point.describe(),
-                        "error_type": f.error_type,
-                        "message": f.message,
-                        "attempts": f.attempts,
-                    }
-                    for f in outcome.failures
-                ],
+                "failures": [f.to_dict() for f in outcome.failures],
             },
         )
 

@@ -78,16 +78,6 @@ def test_artifact_spec_error_exits_1(capsys, tmp_path, content):
     assert out.startswith("spec error: ")
 
 
-def test_trace(capsys):
-    code, out = run(
-        capsys, "trace", "--circuit", "primary1", "--scale", "0.06",
-        "--nprocs", "2", "--algorithm", "hybrid",
-    )
-    assert code == 0
-    assert "comm timeline" in out
-    assert "bytes sent" in out
-
-
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bogus"])
@@ -157,6 +147,18 @@ def test_compare_sweep_routes_serially_exactly_once(capsys, monkeypatch):
     assert calls["n"] == 1
 
 
+def _forbid_routing(monkeypatch):
+    """Make routing, and building a circuit, fail loudly."""
+    from repro.circuits import mcnc
+    from repro.exec import engine as engine_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("routed or built a circuit despite a warm cache")
+
+    monkeypatch.setattr(engine_mod, "_execute", boom)
+    monkeypatch.setattr(mcnc, "generate", boom)
+
+
 def test_compare_warm_cache_replays_without_routing(capsys, tmp_path, monkeypatch):
     argv = (
         "compare", "--circuit", "primary1", "--scale", "0.05",
@@ -165,16 +167,28 @@ def test_compare_warm_cache_replays_without_routing(capsys, tmp_path, monkeypatc
     code, cold = run(capsys, *argv)
     assert code == 0
 
-    from repro.exec import engine as engine_mod
-
-    def boom(*args, **kwargs):
-        raise AssertionError("routed despite a warm cache")
-
-    monkeypatch.setattr(engine_mod, "_execute", boom)
+    _forbid_routing(monkeypatch)
     code, warm = run(capsys, *argv)
     assert code == 0
     # identical tables; only the cache hit/miss line differs
     assert cold.split("cache:")[0] == warm.split("cache:")[0]
+    assert "Scaled tracks on primary1@0.05" in warm
+
+
+def test_route_warm_cache_replays_without_building_the_circuit(
+    capsys, tmp_path, monkeypatch
+):
+    argv = (
+        "route", "--circuit", "primary1", "--scale", "0.05",
+        "--algorithm", "hybrid", "--nprocs", "2", "--cache-dir", str(tmp_path / "c"),
+    )
+    code, cold = run(capsys, *argv)
+    assert code == 0
+
+    _forbid_routing(monkeypatch)
+    code, warm = run(capsys, *argv)
+    assert code == 0
+    assert warm == cold.rstrip("\n") + "  (cached)\n"
 
 
 def test_cache_subcommand(capsys, tmp_path, monkeypatch):
@@ -319,12 +333,24 @@ def test_profile_diff_exit_codes(capsys, tmp_path):
     assert "REGRESSED" in out
 
 
-def test_trace_chrome_export(capsys, tmp_path):
-    path = tmp_path / "chrome.json"
+def test_profile_parallel_prints_comm_trace(capsys):
     code, out = run(
-        capsys, "trace", "--circuit", "primary1", "--scale", "0.06",
+        capsys, "profile", "primary1", "--scale", "0.06",
         "--nprocs", "2", "--algorithm", "hybrid",
-        "--chrome", str(path), "--flame",
+    )
+    assert code == 0
+    assert "messages: " in out and "collectives: " in out
+    assert "comm timeline" in out
+    assert "bytes sent" in out
+
+
+def test_profile_chrome_export(capsys, tmp_path):
+    path = tmp_path / "chrome.json"
+    jsonl = tmp_path / "trace.jsonl"
+    code, out = run(
+        capsys, "profile", "primary1", "--scale", "0.06",
+        "--nprocs", "2", "--algorithm", "hybrid",
+        "--chrome", str(path), "--jsonl", str(jsonl), "--flame",
     )
     assert code == 0
     assert "collectives:" in out
@@ -334,6 +360,34 @@ def test_trace_chrome_export(capsys, tmp_path):
     payload = json.loads(path.read_text())
     events = payload["traceEvents"]
     assert any(e["ph"] == "X" and e["name"] == "step2_coarse" for e in events)
+    rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert any(r["type"] == "comm" for r in rows)
+
+
+def test_profile_serial_flamegraph(capsys):
+    code, out = run(
+        capsys, "profile", "primary1", "--scale", "0.05",
+        "--algorithm", "serial", "--flame",
+    )
+    assert code == 0
+    assert "flamegraph (wall time)" in out
+    # a serial run moves no messages, so no comm block prints
+    assert "comm timeline" not in out
+
+
+def test_profile_trace_of_a_cached_run_exits_1(capsys, tmp_path):
+    argv = (
+        "profile", "primary1", "--scale", "0.05", "--algorithm", "hybrid",
+        "--nprocs", "2", "--cache-dir", str(tmp_path / "c"),
+    )
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "comm timeline" not in out  # a replay keeps no spans
+    code, out = run(capsys, *argv, "--flame")
+    assert code == 1
+    assert out.startswith("no trace: ") and out.count("\n") == 1
 
 
 def test_quiet_suppresses_context_but_keeps_deliverables(capsys):
@@ -446,3 +500,72 @@ def test_experiment_command_rejects_bad_spec(capsys, tmp_path):
     code, out = run(capsys, "experiment", str(spec))
     assert code == 1
     assert "unknown circuit" in out
+
+
+CHAOS = ("chaos", "--circuit", "primary1", "--scale", "0.1", "--nprocs", "4")
+
+
+def test_chaos_smoke_passes(capsys):
+    code, out = run(capsys, *CHAOS, "--smoke")
+    assert code == 0
+    assert "ok: crash contained (origin rank 0, step3_feedthrough)" in out
+    assert "ok: delay plan replayed bit-identically" in out
+    assert "ok: transient point retried and salvaged" in out
+
+
+def test_chaos_crash_prints_the_containment_report(capsys):
+    code, out = run(capsys, *CHAOS, "--plan", "crash-step3")
+    assert code == 3
+    assert "SPMD run failed: injected fault on rank 0 in step3_feedthrough" in out
+    assert "ranks     : 4 total, 1 crashed, 3 released with RankError" in out
+    assert "injected events:\n  rank0: 1 event(s)  [crash@step3_feedthrough]" in out
+
+
+def test_chaos_message_delay_survives(capsys):
+    code, out = run(capsys, *CHAOS, "--plan", "message-delay")
+    assert code == 0
+    assert "run survived the fault plan: primary1@0.1: tracks=" in out
+    assert "modeled time: " in out
+    summary = out.split("injected events:\n", 1)[1]
+    assert [line.split(":")[0].strip() for line in summary.splitlines()] == [
+        "rank0", "rank1", "rank2", "rank3",
+    ]
+
+
+def test_chaos_flaky_point_is_salvaged(capsys):
+    code, out = run(capsys, *CHAOS, "--plan", "flaky-point")
+    assert code == 0
+    assert "salvage sweep: 2 point(s) completed, 0 failed, 2 retries" in out
+    assert "  ok   : primary1 hybrid p=4 (attempt(s)=2)" in out
+
+
+def test_chaos_never_opens_a_run_cache(capsys, monkeypatch):
+    from repro import exec as exec_mod
+
+    def no_cache(*args, **kwargs):
+        raise AssertionError("a chaos run opened a run cache")
+
+    monkeypatch.setattr(exec_mod, "RunCache", no_cache)
+    code, _ = run(capsys, *CHAOS, "--plan", "message-delay")
+    assert code == 0
+    code, _ = run(capsys, *CHAOS, "--smoke")
+    assert code == 0
+
+
+def test_experiment_json_carries_the_containment_report(capsys, tmp_path):
+    import json
+    from pathlib import Path
+
+    spec = Path(__file__).resolve().parents[2] / "benchmarks" / "specs" / "chaos.json"
+    out_path = tmp_path / "chaos.json"
+    code, _ = run(
+        capsys, "experiment", str(spec), "--jobs", "1", "--max-retries", "0",
+        "--json", str(out_path),
+    )
+    assert code == 3
+    (failure,) = json.loads(out_path.read_text())["failures"]
+    assert "+crash-step3" in failure["point"]
+    report = failure["report"]
+    assert report["injected"] is True
+    assert report["step"] == "step3_feedthrough"
+    assert report["nprocs"] == 4 and len(report["ranks"]) == 4

@@ -326,6 +326,78 @@ def test_profile_model_time_matches_record(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# spans and fault logs: a fresh record keeps its run's trace, a replay has
+# none, and neither reaches the record's dict form
+# ---------------------------------------------------------------------------
+
+RECORD_KEYS = {
+    "format", "circuit", "scale", "circuit_seed", "algorithm", "nprocs",
+    "machine", "result", "timing", "baseline", "profile", "key",
+    "host_seconds", "attempts",
+}
+
+
+def _span_names(roots):
+    roots = sorted(roots, key=lambda span: span.tags.get("rank", -1))
+    return [span.name for root in roots for span in root.walk()]
+
+
+def _comm_rows(roots):
+    return sorted(
+        (e.kind, e.rank, e.peer, e.tag, e.nbytes, e.op)
+        for root in roots for span in root.walk() for e in span.events
+    )
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "multiprocess"])
+def test_fresh_record_spans_match_a_direct_traced_run(transport):
+    from repro.obs import Tracer
+
+    config = RouterConfig(seed=13, transport=transport)
+    record = run_point(replace(POINT, nprocs=2, config=config))
+    tracer = Tracer()
+    route_parallel(
+        mcnc.generate("primary1", scale=0.05, seed=1), algorithm="hybrid",
+        nprocs=2, config=config, compute_baseline=False, obs=tracer,
+    )
+    assert _span_names(record.spans) == _span_names(tracer.roots)
+    assert _comm_rows(record.spans) == _comm_rows(tracer.roots)
+    assert any(row[0] == "send" for row in _comm_rows(record.spans))
+
+
+def test_pool_workers_return_their_spans():
+    points = [POINT, replace(POINT, nprocs=2)]
+    for record in sweep_records(points, jobs=2):
+        ranks = sorted(root.tags["rank"] for root in record.spans)
+        assert ranks == list(range(record.nprocs))
+
+
+def test_cached_replay_has_no_spans_and_the_cache_stores_nothing_new(tmp_path):
+    cache = RunCache(tmp_path / "c")
+    fresh = run_point(POINT, cache=cache)
+    assert fresh.spans and set(fresh.to_dict()) == RECORD_KEYS
+    assert set(cache.get(POINT.key())) == RECORD_KEYS
+    replay = run_point(POINT, cache=cache)
+    assert replay.cached
+    assert replay.spans == [] and replay.fired == {}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fault_logs_reach_the_record_and_the_failure(jobs):
+    delay = replace(POINT, nprocs=2, fault_plan="message-delay", fault_seed=3)
+    crash = replace(POINT, nprocs=2, fault_plan="crash-step3", fault_seed=1)
+    outcome = run_sweep_salvage([delay, crash], jobs=jobs, max_retries=0)
+    (record,) = outcome.records
+    assert set(record.fired) == {"rank0", "rank1"}
+    assert set(record.to_dict()) == RECORD_KEYS
+    (failure,) = outcome.failures
+    assert failure.error_type == "RankError"
+    assert failure.report.injected and failure.report.failed_rank == 1
+    assert failure.fired == {"rank1": ["crash@step3_feedthrough"]}
+    assert "report" not in failure.to_dict()
+
+
+# ---------------------------------------------------------------------------
 # the fault axis (experiment specs inject SPMD fault plans per point)
 # ---------------------------------------------------------------------------
 
