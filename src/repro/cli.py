@@ -79,17 +79,20 @@ PAPER_SUITE_SPEC = (
 )
 
 
-class _StdoutHandler(logging.Handler):
-    """Message-only handler that resolves ``sys.stdout`` at emit time.
+class _ConsoleHandler(logging.Handler):
+    """Message-only handler: progress to stdout, WARNING and above to stderr.
 
-    Resolving lazily (instead of capturing the stream like
-    ``StreamHandler``) keeps logging correct when the surrounding process
-    swaps ``sys.stdout`` — notably pytest's capture fixtures.
+    Diagnostics on stderr keep ``--quiet`` stdout to the deliverable
+    output a script parses.  The stream is resolved at emit time
+    (instead of captured like ``StreamHandler``), which keeps logging
+    correct when the surrounding process swaps ``sys.stdout`` or
+    ``sys.stderr`` — notably pytest's capture fixtures.
     """
 
     def emit(self, record: logging.LogRecord) -> None:
+        stream = sys.stderr if record.levelno >= logging.WARNING else sys.stdout
         try:
-            print(self.format(record), file=sys.stdout)
+            print(self.format(record), file=stream)
         except Exception:  # pragma: no cover - mirrors StreamHandler
             self.handleError(record)
 
@@ -106,8 +109,8 @@ def configure_logging(quiet: bool = False, verbose: bool = False) -> None:
     level = logging.WARNING if quiet else (logging.DEBUG if verbose else logging.INFO)
     root = logging.getLogger()
     root.setLevel(level)
-    if not any(isinstance(h, _StdoutHandler) for h in root.handlers):
-        handler = _StdoutHandler()
+    if not any(isinstance(h, _ConsoleHandler) for h in root.handlers):
+        handler = _ConsoleHandler()
         handler.setFormatter(logging.Formatter("%(message)s"))
         root.addHandler(handler)
 

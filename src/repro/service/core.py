@@ -6,8 +6,8 @@ to the same async API:
 
 * :meth:`RoutingService.submit` — resolve one request body to a
   response dict plus HTTP status, coalescing duplicate in-flight work;
-* :meth:`RoutingService.stats` — queue/coalescing/cache counters for
-  the ``/stats`` endpoint.
+* :meth:`RoutingService.stats` — queue/coalescing/cache and circuit
+  build/reuse counters for the ``/stats`` endpoint.
 
 Execution model
 ---------------
@@ -327,6 +327,8 @@ class RoutingService:
             "coalesced": counters.get("service.coalesced", 0),
             "degraded": counters.get("service.degraded", 0),
             "bad_requests": counters.get("service.bad_requests", 0),
+            "circuit_builds": counters.get("engine.circuit_builds", 0),
+            "circuit_reuses": counters.get("engine.circuit_reuses", 0),
             "fault_plan": self.config.fault_plan or None,
         }
         if self.cache is not None:

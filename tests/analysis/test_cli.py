@@ -157,6 +157,8 @@ def _forbid_routing(monkeypatch):
 
     monkeypatch.setattr(engine_mod, "_execute", boom)
     monkeypatch.setattr(mcnc, "generate", boom)
+    # the cold run's circuits would otherwise come from the memo unbuilt
+    engine_mod.clear_circuit_memo()
 
 
 def test_compare_warm_cache_replays_without_routing(capsys, tmp_path, monkeypatch):
@@ -537,6 +539,15 @@ def test_chaos_flaky_point_is_salvaged(capsys):
     assert code == 0
     assert "salvage sweep: 2 point(s) completed, 0 failed, 2 retries" in out
     assert "  ok   : primary1 hybrid p=4 (attempt(s)=2)" in out
+
+
+def test_quiet_chaos_keeps_warnings_off_stdout(capsys):
+    code = main(["-q", *CHAOS, "--plan", "flaky-cache"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("salvage sweep: 2 point(s) completed, 0 failed")
+    assert "cache write failed" not in captured.out
+    assert "cache write failed for " in captured.err
 
 
 def test_chaos_never_opens_a_run_cache(capsys, monkeypatch):

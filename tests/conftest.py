@@ -6,7 +6,15 @@ import pytest
 
 from repro.circuits import CircuitBuilder, mcnc
 from repro.circuits.generator import SyntheticSpec, generate_circuit
+from repro.exec.engine import clear_circuit_memo
 from repro.twgr import GlobalRouter, RouterConfig
+
+
+@pytest.fixture(autouse=True)
+def _empty_circuit_memo():
+    """Start every test with an empty engine circuit memo, so a test that
+    patches the generator sees every build the engine makes."""
+    clear_circuit_memo()
 
 
 @pytest.fixture

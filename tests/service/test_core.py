@@ -212,6 +212,18 @@ class TestLifecycle:
         assert stats["inflight"] == 0
         assert stats["cache"]["stores"] == 1
 
+    def test_stats_count_one_build_and_one_reuse_per_parallel_miss(self):
+        # the serial baseline builds the circuit; the parallel point reuses it
+        async def body(service):
+            status, _ = await service.submit(
+                {**REQUEST, "algorithm": "hybrid", "nprocs": 2}
+            )
+            assert status == 200
+            return service.stats()
+
+        stats = run(_with_service(ServiceConfig(workers=1), body))
+        assert (stats["circuit_builds"], stats["circuit_reuses"]) == (1, 1)
+
     def test_latency_histogram_is_observed(self, tmp_path):
         async def body(service):
             return await service.submit(dict(REQUEST))
