@@ -523,6 +523,7 @@ def run_inprocess(
     if nprocs == 1:
         runner(0)
     else:
+        first_root = len(obs.roots)
         threads = [
             threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)
             for r in range(nprocs)
@@ -531,6 +532,8 @@ def run_inprocess(
             t.start()
         for t in threads:
             t.join()
+        # rank threads close their root spans in the order they finish
+        obs.order_rank_roots(first_root)
     wall_s = time.perf_counter() - wall_start
 
     # the origin is the first rank to abort the run
