@@ -18,15 +18,6 @@ from repro.analysis.congestion import (
     report as congestion_report,
 )
 from repro.analysis.scaling import AmdahlFit, fit_amdahl, efficiency_curve
-from repro.analysis.records import (
-    save_results,
-    load_results,
-    result_to_dict,
-    result_from_dict,
-    timing_to_dict,
-    timing_from_dict,
-    compare_results,
-)
 from repro.analysis.specs import ExperimentSpec, load_spec
 from repro.analysis.experiments import (
     run_circuit_characteristics,
@@ -51,13 +42,6 @@ __all__ = [
     "run_net_partition_ablation",
     "run_alpha_ablation",
     "run_sync_frequency_ablation",
-    "save_results",
-    "load_results",
-    "result_to_dict",
-    "result_from_dict",
-    "timing_to_dict",
-    "timing_from_dict",
-    "compare_results",
     "ChannelCongestion",
     "analyze_congestion",
     "hotspots",

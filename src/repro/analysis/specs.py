@@ -6,10 +6,10 @@ operating point (scale/seed/machine).  Specs load from TOML or JSON
 (:func:`load_spec`), expand to deduplicated
 :class:`~repro.exec.engine.SweepPoint` cells (:meth:`ExperimentSpec.cells`),
 and execute through the fault-containing sweep engine
-(:func:`run_experiment`) — every surviving
-:class:`~repro.exec.record.RunRecord` (and its embedded RunProfile) is
-stamped with the spec coordinates that produced it, so downstream
-analytics can slice results without re-deriving the grid.
+(:func:`run_experiment`).  :meth:`ExperimentOutcome.to_json` writes every
+surviving :class:`~repro.exec.record.RunRecord` next to the coordinates
+of the cell that produced it, so downstream analytics can slice results
+without re-deriving the grid.
 
 Spec file shape (TOML shown; JSON uses the same keys)::
 
@@ -310,7 +310,7 @@ def load_spec(path: Union[str, Path]) -> ExperimentSpec:
 
 @dataclass(slots=True)
 class ExperimentOutcome:
-    """A spec's grid after execution: stamped records + failure ledger."""
+    """A spec's grid after execution: records + failure ledger."""
 
     spec: ExperimentSpec
     cells: List[ExperimentCell]
@@ -378,11 +378,19 @@ class ExperimentOutcome:
         return table
 
     def to_json(self) -> Dict[str, Any]:
-        """JSON-safe report (spec, records, failures)."""
+        """JSON-safe report (spec, records, failures).
+
+        Each record sits next to the coordinates of the grid cell that
+        produced it: ``{"coord": {...}, "record": {...}}``.
+        """
+        coords = {c.point.key(): c.coord for c in self.cells}
         return {
             "schema": SPEC_SCHEMA,
             "spec": self.spec.to_dict(),
-            "records": [r.to_dict() for r in self.records],
+            "records": [
+                {"coord": coords.get(r.key), "record": r.to_dict()}
+                for r in self.records
+            ],
             "failures": [_failure_entry(f) for f in self.failures],
             "retries": self.retries,
         }
@@ -406,24 +414,13 @@ def run_experiment(
 
     Crash-plan cells fail deterministically every attempt; the salvage
     engine contains them as :class:`PointFailure` entries while every
-    clean cell completes.  Each surviving record — and the RunProfile
-    embedded in it — is stamped with its ``spec_coord``, parent-side, so
-    cached replays of the same point under a different experiment name
-    are re-stamped with the current coordinates.
+    clean cell completes.
     """
     cells = spec.cells()
     outcome: SweepOutcome = run_sweep_salvage(
         [c.point for c in cells], jobs=jobs, cache=cache,
         max_retries=max_retries,
     )
-    by_key = {c.point.key(): c.coord for c in cells}
-    for rec in outcome.records:
-        coord = by_key.get(rec.key)
-        if coord is None:
-            continue
-        rec.spec_coord = dict(coord)
-        if rec.profile is not None:
-            rec.profile["spec_coord"] = dict(coord)
     return ExperimentOutcome(
         spec=spec,
         cells=cells,

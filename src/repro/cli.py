@@ -21,17 +21,17 @@ Commands
     ``--flame`` renders a text flamegraph, and ``--diff`` compares
     against a saved profile and flags regressions.
 ``cache``
-    Inspect or clear the on-disk run cache (``stats`` reports session
-    and lifetime hit rates).
+    Inspect or clear the on-disk run cache (``stats`` reports its
+    directory, entry count and code salt).
 ``experiment``
     Run a declarative experiment spec (TOML/JSON grid of circuits x
     algorithms x nprocs x fault plans) through the
-    fault-containing sweep engine; every record is stamped with its
-    spec coordinates.
+    fault-containing sweep engine; ``--json`` writes every record next
+    to its grid cell's coordinates.
 ``metrics``
-    Export a MetricsRegistry snapshot in Prometheus text exposition
-    format (``export`` routes a small point first so the registry has
-    live counters and latency histograms).
+    Export the MetricsRegistry in Prometheus text exposition format
+    (``export`` routes a small point first so the registry has live
+    counters and latency histograms).
 ``serve``
     Run the routing service: an asyncio HTTP front-end over a job queue
     that coalesces duplicate in-flight requests through the run cache
@@ -43,8 +43,7 @@ except ``stats``, whose congestion report reads the routed channel
 spans that no run record carries.  ``--jobs`` fans independent runs out
 across worker processes, and ``--cache`` / ``--cache-dir`` replay
 previously computed runs from a content-addressed on-disk cache instead
-of recomputing them.  The cache's lifetime hit/miss/store tallies reach
-disk once, when the command exits.
+of recomputing them.
 
 ``--quiet`` suppresses progress/context lines (tables and results still
 print); ``--verbose`` enables debug logging.
@@ -55,11 +54,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.analysis.records import save_results
 from repro.circuits import mcnc
 from repro.circuits.generator import DEFAULT_SCALE, MAX_SCALE
 from repro.mpi.runtime import TRANSPORTS
@@ -188,24 +185,15 @@ def _sweep(
     return outcome
 
 
-@contextmanager
-def _open_cache(args: argparse.Namespace) -> Iterator[Optional["RunCache"]]:
-    """The RunCache requested by ``--cache``/``--cache-dir``, or None.
-
-    The command owns the cache: its session tallies are folded into the
-    lifetime sidecar once, when the command is done with it.
-    """
+def _open_cache(args: argparse.Namespace) -> Optional["RunCache"]:
+    """The RunCache requested by ``--cache``/``--cache-dir``, or None."""
     from repro.exec import RunCache
 
     if getattr(args, "cache_dir", None):
-        cache = RunCache(args.cache_dir)
-    elif getattr(args, "cache", False):
-        cache = RunCache()
-    else:
-        yield None
-        return
-    with cache:
-        yield cache
+        return RunCache(args.cache_dir)
+    if getattr(args, "cache", False):
+        return RunCache()
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "rowwise", "netwise", "hybrid"),
     )
     p_route.add_argument("--nprocs", type=int, default=8)
-    p_route.add_argument("--json", metavar="PATH", help="save the result record")
+    p_route.add_argument("--json", metavar="PATH", help="save the run record")
     _add_engine(p_route)
 
     p_cmp = sub.add_parser("compare", help="all three algorithms on one circuit")
@@ -349,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("spec", help="spec file (.toml or .json; see benchmarks/specs/)")
     p_exp.add_argument(
         "--json", metavar="PATH",
-        help="write the stamped records + failure ledger as JSON",
+        help="write the records (with their cell coordinates) + failure "
+        "ledger as JSON",
     )
     p_exp.add_argument(
         "--max-retries", type=int, default=1,
@@ -358,13 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine(p_exp)
 
     p_met = sub.add_parser(
-        "metrics", help="export MetricsRegistry snapshots (Prometheus text format)"
+        "metrics", help="export the MetricsRegistry (Prometheus text format)"
     )
     p_met.add_argument("action", choices=("export",))
-    p_met.add_argument(
-        "--snapshot", metavar="JSON",
-        help="render a saved snapshot file instead of routing a live point",
-    )
     p_met.add_argument(
         "--circuit", type=_circuit, default="primary1",
         help="circuit routed to populate the live registry (default primary1)",
@@ -433,6 +418,8 @@ def cmd_circuits(_args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     """Route one circuit and print (optionally save) the metrics."""
+    import json as _json
+
     from repro.exec import SweepPoint
 
     point = SweepPoint(
@@ -444,23 +431,21 @@ def cmd_route(args: argparse.Namespace) -> int:
         ),
     )
     log.info("point: %s", point.describe())
-    with _open_cache(args) as cache:
-        outcome = _sweep([point], args.jobs, cache)
+    outcome = _sweep([point], args.jobs, _open_cache(args))
     if not outcome.ok:
         return outcome.exit_code
     record = outcome.records[0]
     suffix = "  (cached)" if record.cached else ""
     if args.algorithm == "serial":
         print(record.routing_result().summary() + suffix)
-        results = [record.routing_result()]
     else:
         run = record.parallel_run()
         print(f"serial  : {run.baseline.summary()}")
         print(f"parallel: {run.summary()}{suffix}")
-        results = [run.baseline, run.result]
     if args.json:
-        save_results(results, args.json)
-        print(f"records written to {args.json}")
+        with open(args.json, "w", encoding="utf-8") as fh:
+            _json.dump(record.to_dict(), fh, indent=2)
+        print(f"record written to {args.json}")
     return 0
 
 
@@ -485,8 +470,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         point(a, p) for a in algorithms for p in args.procs
     ]
     log.info("baseline: %s", points[0].describe())
-    with _open_cache(args) as cache:
-        outcome = _sweep(points, args.jobs, cache)
+    cache = _open_cache(args)
+    outcome = _sweep(points, args.jobs, cache)
     if not outcome.ok:
         return outcome.exit_code
     records = outcome.records
@@ -556,14 +541,13 @@ def cmd_artifact(args: argparse.Namespace) -> int:
         "ablation-alpha": ex.run_alpha_ablation,
         "ablation-sync": ex.run_sync_frequency_ablation,
     }
-    with _open_cache(args) as cache:
-        kw = {"cache": cache, "jobs": args.jobs}
-        if name in quality:
-            text = ex.run_quality_table(quality[name], spec, **kw)[0].render()
-        elif name in figure:
-            text = ex.run_speedup_figure(figure[name], spec, **kw)[0]
-        else:
-            text = tables[name](spec, **kw)[0].render()
+    kw = {"cache": _open_cache(args), "jobs": args.jobs}
+    if name in quality:
+        text = ex.run_quality_table(quality[name], spec, **kw)[0].render()
+    elif name in figure:
+        text = ex.run_speedup_figure(figure[name], spec, **kw)[0]
+    else:
+        text = tables[name](spec, **kw)[0].render()
     print(text)
     return 0
 
@@ -578,16 +562,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {removed} cached run(s) from {cache.root}")
         return 0
     s = cache.stats()
-    life = s["lifetime"]
-    rate = s["lifetime_hit_rate"]
     print(f"cache dir : {s['root']}")
     print(f"entries   : {s['entries']}")
     print(f"code salt : {s['salt']}")
-    print(
-        f"lifetime  : {life['hits']} hits, {life['misses']} misses, "
-        f"{life['stores']} stores"
-    )
-    print(f"hit rate  : {f'{rate:.1%}' if rate is not None else 'n/a (no lookups yet)'}")
     return 0
 
 
@@ -636,8 +613,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
             seed=args.seed, transport=args.transport
         ),
     )
-    with _open_cache(args) as cache:
-        outcome = _sweep([point], args.jobs, cache)
+    cache = _open_cache(args)
+    outcome = _sweep([point], args.jobs, cache)
     if not outcome.ok:
         return outcome.exit_code
     record = outcome.records[0]
@@ -957,10 +934,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 1
     if spec.description:
         log.info("%s — %s", spec.name, spec.description)
-    with _open_cache(args) as cache:
-        outcome = run_experiment(
-            spec, jobs=args.jobs, cache=cache, max_retries=args.max_retries,
-        )
+    outcome = run_experiment(
+        spec, jobs=args.jobs, cache=_open_cache(args),
+        max_retries=args.max_retries,
+    )
     print(outcome.table().render())
     print(outcome.summary())
     for failure in outcome.failures:
@@ -973,30 +950,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    """Export a metrics snapshot in Prometheus text exposition format."""
-    import json as _json
-
+    """Export the live registry in Prometheus text exposition format."""
+    from repro.exec import SweepPoint
     from repro.obs import REGISTRY
-    from repro.obs.metrics import render_prometheus_snapshot
 
-    if args.snapshot:
-        with open(args.snapshot, "r", encoding="utf-8") as fh:
-            snap = _json.load(fh)
-    else:
-        # route one small point so the registry carries live cache
-        # counters and the engine's host-latency histogram
-        from repro.exec import SweepPoint
-
-        point = SweepPoint(
-            circuit=args.circuit, scale=args.scale, circuit_seed=args.seed,
-            config=RouterConfig(seed=args.seed),
-        )
-        outcome = _sweep([point])
-        if not outcome.ok:
-            return outcome.exit_code
-        log.info("routed %s to populate the registry", point.describe())
-        snap = REGISTRY.snapshot()
-    text = render_prometheus_snapshot(snap, prefix=args.prefix)
+    # route one small point so the registry carries live cache counters
+    # and the engine's host-latency histogram
+    point = SweepPoint(
+        circuit=args.circuit, scale=args.scale, circuit_seed=args.seed,
+        config=RouterConfig(seed=args.seed),
+    )
+    outcome = _sweep([point])
+    if not outcome.ok:
+        return outcome.exit_code
+    log.info("routed %s to populate the registry", point.describe())
+    text = REGISTRY.render_prometheus(prefix=args.prefix)
     if not text:
         print("# (empty registry: no instruments recorded)")
         return 0

@@ -31,10 +31,6 @@ fresh parallel point and its serial baseline build their circuit once,
 and a long-lived process (the service) builds each circuit once while
 it stays in the memo.  A pool worker holds its own memo: it inherits
 the parent's entries when it forks, and what it builds stays in it.
-
-The engine reads and writes records only.  Folding a cache's hit/miss
-tallies into its lifetime sidecar is the job of the cache's owner, once,
-when it is done with the cache (see :meth:`RunCache.persist_stats`).
 """
 
 from __future__ import annotations
@@ -52,7 +48,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.circuits import mcnc
 from repro.circuits.model import Circuit, CircuitStats
 from repro.exec.cache import RunCache, cache_key
-from repro.exec.record import RunRecord, record_from_results
+from repro.exec.record import (
+    RunRecord,
+    record_from_results,
+    result_from_dict,
+    timing_to_dict,
+)
 from repro.faults.report import RunFailure
 from repro.parallel.driver import ParallelConfig, route_parallel, serial_baseline
 from repro.perfmodel.machine import MACHINES
@@ -407,8 +408,6 @@ def _safe_worker(task: Task) -> Attempt:
     batch and the parent decides per point whether to retry or give up.
     The record (spans included) or the failure pickles back to the parent.
     """
-    from repro.analysis.records import result_from_dict  # avoids an import cycle
-
     point, baseline_dict = task
     try:
         baseline = result_from_dict(baseline_dict) if baseline_dict is not None else None
@@ -589,8 +588,6 @@ def _set_measured_serial(record: RunRecord, serial_s: float) -> None:
     it leaves the measured speedup unset.  The timing codec keeps the
     field only for real-parallelism transports.
     """
-    from repro.analysis.records import timing_to_dict
-
     timing = record.timing_report()
     timing.measured_serial_s = serial_s
     record.timing = timing_to_dict(timing)

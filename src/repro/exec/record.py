@@ -1,11 +1,11 @@
 """Compact run records — what a sweep point returns and what gets cached.
 
-A :class:`RunRecord` carries plain dicts (the :mod:`repro.analysis.records`
-serialization of ``RoutingResult`` and ``TimingReport``) rather than live
-objects, so it pickles cheaply across the process pool, serializes to
-JSON for the on-disk cache, and reconstructs the exact same values on
-every path: Python ints are exact, and floats survive both pickling and
-JSON round-trips bit for bit.
+A :class:`RunRecord` carries plain dicts (the :func:`result_to_dict` and
+:func:`timing_to_dict` forms of ``RoutingResult`` and ``TimingReport``)
+rather than live objects, so it pickles cheaply across the process pool,
+serializes to JSON for the on-disk cache, and reconstructs the exact
+same values on every path: Python ints are exact, and floats survive
+both pickling and JSON round-trips bit for bit.
 """
 
 from __future__ import annotations
@@ -18,16 +18,101 @@ from repro.perfmodel.report import TimingReport
 from repro.twgr.result import RoutingResult
 
 
-def _codec():
-    """The dict<->object converters, imported lazily.
+def result_to_dict(result: RoutingResult) -> Dict[str, Any]:
+    """Plain-dict form of a routing result (JSON-safe)."""
+    return {
+        "circuit_name": result.circuit_name,
+        "algorithm": result.algorithm,
+        "nprocs": result.nprocs,
+        "total_tracks": result.total_tracks,
+        "channel_tracks": {str(k): v for k, v in result.channel_tracks.items()},
+        "num_feedthroughs": result.num_feedthroughs,
+        "horizontal_wirelength": result.horizontal_wirelength,
+        "vertical_wirelength": result.vertical_wirelength,
+        "core_width": result.core_width,
+        "area": result.area,
+        "side_conflicts": result.side_conflicts,
+        "unplanned_crossings": result.unplanned_crossings,
+        "num_spans": result.num_spans,
+        "flips": result.flips,
+        "work_units": dict(result.work_units),
+        "model_time": result.model_time,
+        "seed": result.seed,
+    }
 
-    ``repro.analysis`` (whose package init pulls in the experiment
-    runners) itself imports this package, so importing
-    ``repro.analysis.records`` at module scope would be circular.
+
+def result_from_dict(data: Dict[str, Any]) -> RoutingResult:
+    """Inverse of :func:`result_to_dict`."""
+    return RoutingResult(
+        circuit_name=data["circuit_name"],
+        algorithm=data["algorithm"],
+        nprocs=data["nprocs"],
+        total_tracks=data["total_tracks"],
+        channel_tracks={int(k): v for k, v in data["channel_tracks"].items()},
+        num_feedthroughs=data["num_feedthroughs"],
+        horizontal_wirelength=data["horizontal_wirelength"],
+        vertical_wirelength=data["vertical_wirelength"],
+        core_width=data["core_width"],
+        area=data["area"],
+        side_conflicts=data["side_conflicts"],
+        unplanned_crossings=data["unplanned_crossings"],
+        num_spans=data["num_spans"],
+        flips=data["flips"],
+        work_units=dict(data["work_units"]),
+        model_time=data["model_time"],
+        seed=data["seed"],
+    )
+
+
+def timing_to_dict(timing: TimingReport) -> Dict[str, Any]:
+    """Plain-dict form of a timing report (JSON-safe).
+
+    Measured wall-clock fields are emitted only for real-parallelism
+    transports: the in-process transport's walls are host-noise thread
+    times in one interpreter, and persisting them would break the
+    bit-identity contract between jobs=1/jobs=N/cache-replay records.
+    Records written before the transport layer existed round-trip
+    byte-identically.
     """
-    from repro.analysis import records
+    out = {
+        "machine": timing.machine,
+        "nprocs": timing.nprocs,
+        "rank_times": list(timing.rank_times),
+        "rank_compute": list(timing.rank_compute),
+        "rank_comm": list(timing.rank_comm),
+        "rank_idle": list(timing.rank_idle),
+        "serial_time": timing.serial_time,
+        "serial_oom": timing.serial_oom,
+        "elapsed": timing.elapsed,
+        "speedup": timing.speedup,
+    }
+    if timing.transport != "inprocess":
+        out["transport"] = timing.transport
+    if timing.transport != "inprocess" and timing.measured_wall_s is not None:
+        out["measured_wall_s"] = timing.measured_wall_s
+        out["measured_rank_s"] = list(timing.measured_rank_s)
+        if timing.measured_serial_s is not None:
+            out["measured_serial_s"] = timing.measured_serial_s
+        out["measured_speedup"] = timing.measured_speedup
+    return out
 
-    return records
+
+def timing_from_dict(data: Dict[str, Any]) -> TimingReport:
+    """Inverse of :func:`timing_to_dict`."""
+    return TimingReport(
+        machine=data["machine"],
+        nprocs=data["nprocs"],
+        rank_times=list(data["rank_times"]),
+        rank_compute=list(data.get("rank_compute", [])),
+        rank_comm=list(data.get("rank_comm", [])),
+        rank_idle=list(data.get("rank_idle", [])),
+        serial_time=data.get("serial_time"),
+        serial_oom=data.get("serial_oom", False),
+        transport=data.get("transport", "inprocess"),
+        measured_rank_s=list(data.get("measured_rank_s", [])),
+        measured_wall_s=data.get("measured_wall_s"),
+        measured_serial_s=data.get("measured_serial_s"),
+    )
 
 
 @dataclass(slots=True)
@@ -60,10 +145,6 @@ class RunRecord:
     #: transiently failing points; 1 everywhere else, including records
     #: predating the field)
     attempts: int = 1
-    #: coordinates of the experiment-spec cell that produced this run
-    #: (``{}`` for runs outside a declarative experiment); stamped
-    #: parent-side by :func:`repro.analysis.specs.run_experiment`
-    spec_coord: Dict[str, Any] = field(default_factory=dict)
     #: root spans of the run's tracer (:class:`repro.obs.tracer.Span`)
     #: when this process or a pool worker routed it; empty for a cache
     #: replay.  Never serialized: a span tree would multiply the record's
@@ -75,19 +156,19 @@ class RunRecord:
     # -- reconstruction -------------------------------------------------
     def routing_result(self) -> RoutingResult:
         """The run's ``RoutingResult``, rebuilt from the record."""
-        return _codec().result_from_dict(self.result)
+        return result_from_dict(self.result)
 
     def baseline_result(self) -> Optional[RoutingResult]:
         """The shared serial baseline, when one was attached."""
         if self.baseline is None:
             return None
-        return _codec().result_from_dict(self.baseline)
+        return result_from_dict(self.baseline)
 
     def timing_report(self) -> Optional[TimingReport]:
         """The modeled timing report (parallel records only)."""
         if self.timing is None:
             return None
-        return _codec().timing_from_dict(self.timing)
+        return timing_from_dict(self.timing)
 
     def parallel_run(self) -> ParallelRun:
         """Rebuild the :class:`ParallelRun` bundle analysis code consumes."""
@@ -125,11 +206,9 @@ class RunRecord:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict form (inverse of :meth:`from_dict`).
 
-        ``spec_coord`` is emitted only when set, so records produced
-        outside a declarative experiment keep their pre-field shape;
         ``spans`` and ``fired`` are never emitted.
         """
-        out = {
+        return {
             "format": "repro-run-record-v1",
             "circuit": self.circuit,
             "scale": self.scale,
@@ -145,9 +224,6 @@ class RunRecord:
             "host_seconds": self.host_seconds,
             "attempts": self.attempts,
         }
-        if self.spec_coord:
-            out["spec_coord"] = self.spec_coord
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], cached: bool = False) -> "RunRecord":
@@ -169,7 +245,6 @@ class RunRecord:
             cached=cached,
             host_seconds=0.0 if cached else data.get("host_seconds", 0.0),
             attempts=int(data.get("attempts", 1)),
-            spec_coord=dict(data.get("spec_coord", {})),
         )
 
 
@@ -183,7 +258,6 @@ def record_from_results(
     host_seconds: float = 0.0,
 ) -> RunRecord:
     """Build a :class:`RunRecord` from live router objects."""
-    codec = _codec()
     return RunRecord(
         circuit=point.circuit,
         scale=point.scale,
@@ -191,9 +265,9 @@ def record_from_results(
         algorithm=point.algorithm,
         nprocs=point.nprocs,
         machine=point.machine,
-        result=codec.result_to_dict(result),
-        timing=codec.timing_to_dict(timing) if timing is not None else None,
-        baseline=codec.result_to_dict(baseline) if baseline is not None else None,
+        result=result_to_dict(result),
+        timing=timing_to_dict(timing) if timing is not None else None,
+        baseline=result_to_dict(baseline) if baseline is not None else None,
         profile=profile,
         key=key,
         host_seconds=host_seconds,

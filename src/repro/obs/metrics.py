@@ -1,10 +1,8 @@
 """Metrics registry: named counters, gauges, and histograms.
 
 A :class:`MetricsRegistry` is a thread-safe map of named instruments.
-Process safety comes from value semantics rather than shared memory: a
-worker process snapshots its registry (:meth:`MetricsRegistry.snapshot`)
-into a plain dict that travels in its :class:`~repro.exec.record.RunRecord`,
-and the parent folds it back in with :meth:`MetricsRegistry.merge`.
+Registries are per process and share no memory: what a pool worker
+counts stays in that worker's registry.
 
 The module-level :data:`REGISTRY` is the default sink for subsystem
 counters (the run cache's hit/miss/store tallies, engine point counts);
@@ -159,7 +157,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe named instruments with snapshot/merge value semantics."""
+    """Thread-safe named instruments with plain-dict snapshots."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -215,30 +213,6 @@ class MetricsRegistry:
                     for k, h in self._histograms.items()
                 },
             }
-
-    def merge(self, snap: Dict[str, Any]) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry.
-
-        Counters and histograms add; gauges keep the incoming value (the
-        most recent writer wins, matching their last-write semantics).
-        """
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, data in snap.get("histograms", {}).items():
-            hist = self.histogram(name)
-            with self._lock:
-                hist.count += data["count"]
-                hist.total += data["total"]
-                for bound in ("min", "max"):
-                    val = data.get(bound)
-                    if val is not None:
-                        cur = getattr(hist, bound)
-                        pick = min if bound == "min" else max
-                        setattr(hist, bound, val if cur is None else pick(cur, val))
-                for i, n in enumerate(data.get("buckets", [])[: hist.NBUCKETS]):
-                    hist.buckets[i] += n
 
     def reset(self) -> None:
         """Drop every instrument (tests use this between cases)."""

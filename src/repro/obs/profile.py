@@ -58,10 +58,6 @@ class RunProfile:
     cache: Dict[str, Any] = field(default_factory=dict)
     total_wall_s: float = 0.0
     model_time: Optional[float] = None
-    #: coordinates of the experiment-spec cell that produced this run
-    #: (empty for runs outside a declarative experiment); see
-    #: :mod:`repro.analysis.specs`
-    spec_coord: Dict[str, Any] = field(default_factory=dict)
 
     def ordered_steps(self) -> List[str]:
         """Step names, pipeline steps first, extras after."""
@@ -82,11 +78,10 @@ class RunProfile:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form (inverse of :meth:`from_dict`).
 
-        ``spec_coord`` and ``transport`` are emitted only when set, so
-        profiles outside a declarative experiment — and runs on the
-        default in-process transport — serialize exactly as before the
-        fields existed (committed references like ``PROFILE_smoke.json``
-        stay byte-stable).
+        ``transport`` is emitted only when set, so runs on the default
+        in-process transport serialize exactly as before the field
+        existed (committed references like ``PROFILE_smoke.json`` stay
+        byte-stable).
         """
         out = {
             "format": PROFILE_FORMAT,
@@ -105,8 +100,6 @@ class RunProfile:
         }
         if self.transport:
             out["transport"] = self.transport
-        if self.spec_coord:
-            out["spec_coord"] = self.spec_coord
         return out
 
     @classmethod
@@ -133,7 +126,6 @@ class RunProfile:
             cache=dict(data.get("cache", {})),
             total_wall_s=data.get("total_wall_s", 0.0),
             model_time=data.get("model_time"),
-            spec_coord=dict(data.get("spec_coord", {})),
         )
 
 

@@ -52,14 +52,6 @@ class TallyCounter:
         """Sum of charged units across all kinds."""
         return sum(self.units.values())
 
-    def merged_with(self, other: "TallyCounter") -> "TallyCounter":
-        """A new tally holding both counters' charges."""
-        out = TallyCounter()
-        for src in (self, other):
-            for kind, units in src.units.items():
-                out.units[kind] += units
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self.units.items()))
         return f"TallyCounter({inner})"

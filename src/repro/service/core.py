@@ -41,7 +41,6 @@ connection.
 from __future__ import annotations
 
 import asyncio
-import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,8 +52,6 @@ from repro.service.schema import ServiceRequestError, point_from_request
 
 #: response shape: (http_status, body_dict)
 Response = Tuple[int, Dict[str, Any]]
-
-log = logging.getLogger("repro.service")
 
 
 @dataclass(slots=True)
@@ -145,10 +142,7 @@ class RoutingService:
         ]
 
     async def stop(self) -> None:
-        """Cancel workers, release the executor, and fold the cache's
-        lifetime tallies into its sidecar (idempotent)."""
-        from repro.obs.metrics import REGISTRY
-
+        """Cancel workers and release the executor (idempotent)."""
         if not self._started:
             return
         self._started = False
@@ -169,17 +163,6 @@ class RoutingService:
                     (503, {"status": "degraded", "error": "service stopping"})
                 )
         self._inflight.clear()
-        if self.cache is not None:
-            # the service's only sidecar write: an unwritable cache root
-            # is counted and logged, never a traceback out of shutdown
-            try:
-                self.cache.persist_stats()
-            except OSError as exc:
-                REGISTRY.counter("cache.persist_errors").inc()
-                log.warning(
-                    "could not fold cache tallies into %s (%s)",
-                    self.cache.root, exc,
-                )
 
     # -- request path --------------------------------------------------
     async def submit(self, body: Any) -> Response:

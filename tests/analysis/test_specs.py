@@ -199,23 +199,23 @@ def test_fault_free_points_keep_legacy_cache_spec():
 # execution
 # ---------------------------------------------------------------------------
 
-def test_run_experiment_stamps_spec_coords():
+def test_run_experiment_json_pairs_records_with_cell_coords():
+    from repro.exec.record import RunRecord
+
     spec = ExperimentSpec(
-        name="stamp", algorithms=("serial", "rowwise"), nprocs=(2,),
+        name="pair", algorithms=("serial", "rowwise"), nprocs=(2,),
         scale=0.06,
     )
     outcome = run_experiment(spec, jobs=1)
     assert outcome.ok and outcome.exit_code == 0
     assert len(outcome.records) == len(spec.cells()) == 2
-    for rec in outcome.records:
-        assert rec.spec_coord["experiment"] == "stamp"
-        assert rec.spec_coord["algorithm"] in ("serial", "rowwise")
-        assert rec.profile["spec_coord"] == rec.spec_coord
-        # the stamp survives the record's JSON round trip
-        from repro.exec.record import RunRecord
-
-        again = RunRecord.from_dict(rec.to_dict())
-        assert again.spec_coord == rec.spec_coord
+    entries = json.loads(json.dumps(outcome.to_json()))["records"]
+    assert len(entries) == 2
+    for entry, rec in zip(entries, outcome.records):
+        assert entry["coord"]["experiment"] == "pair"
+        assert entry["coord"]["algorithm"] == rec.algorithm
+        assert "spec_coord" not in entry["record"]
+        assert RunRecord.from_dict(entry["record"]) == rec
     text = outcome.table().render()
     assert "rowwise" in text and "ok" in text
 

@@ -1,4 +1,4 @@
-"""MetricsRegistry: instruments, thread safety, snapshot/merge,
+"""MetricsRegistry: instruments, thread safety, snapshots,
 percentiles, and the Prometheus text exposition."""
 
 from __future__ import annotations
@@ -65,37 +65,6 @@ def test_snapshot_is_plain_data():
     json.dumps(snap)  # JSON-safe by construction
 
 
-def test_merge_folds_worker_snapshot():
-    worker = MetricsRegistry()
-    worker.counter("points").inc(3)
-    worker.gauge("depth").set(9)
-    worker.histogram("lat").observe(2)
-    worker.histogram("lat").observe(8)
-
-    parent = MetricsRegistry()
-    parent.counter("points").inc(1)
-    parent.histogram("lat").observe(100)
-    parent.merge(worker.snapshot())
-
-    assert parent.counter("points").value == 4.0
-    assert parent.gauge("depth").value == 9.0
-    lat = parent.histogram("lat")
-    assert lat.count == 3
-    assert lat.total == 110.0
-    assert lat.min == 2
-    assert lat.max == 100
-
-
-def test_merge_twice_adds_counters_again():
-    a = MetricsRegistry()
-    a.counter("n").inc(2)
-    snap = a.snapshot()
-    b = MetricsRegistry()
-    b.merge(snap)
-    b.merge(snap)
-    assert b.counter("n").value == 4.0
-
-
 def test_reset_clears_everything():
     reg = MetricsRegistry()
     reg.counter("x").inc()
@@ -137,11 +106,6 @@ def test_snapshot_carries_mean_and_percentiles():
     snap = reg.snapshot()["histograms"]["lat"]
     assert snap["mean"] == 10.0
     assert snap["p50"] == snap["p95"] == snap["p99"] == 10.0
-    # merge() ignores the derived keys: folding a snapshot with
-    # percentiles into another registry must not double-count
-    other = MetricsRegistry()
-    other.merge(reg.snapshot())
-    assert other.histogram("lat").count == 1
 
 
 def test_render_histograms_table():

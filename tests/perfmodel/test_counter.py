@@ -16,16 +16,6 @@ def test_tally_accumulates():
     assert t.total() == 9.5
 
 
-def test_merged_with():
-    a, b = TallyCounter(), TallyCounter()
-    a.add("x", 1)
-    b.add("x", 2)
-    b.add("y", 3)
-    m = a.merged_with(b)
-    assert m.units == {"x": 3, "y": 3}
-    assert a.units == {"x": 1}  # originals untouched
-
-
 def test_protocol_conformance():
     assert isinstance(TallyCounter(), WorkCounter)
     assert isinstance(NullCounter(), WorkCounter)
